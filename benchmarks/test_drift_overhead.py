@@ -115,11 +115,11 @@ def _record_baseline(measurements: dict) -> str:
 def test_drift_instrumentation_overhead(workload):
     guardrail, relation, rows = workload
 
-    bare_row = guardrail.row_guard()
-    drift_row = guardrail.row_guard()
+    bare_row = guardrail.guard()
+    drift_row = guardrail.guard()
     drift_row.attach_drift(_detector(relation, guardrail))
-    bare_batch = guardrail.batch_guard()
-    drift_batch = guardrail.batch_guard()
+    bare_batch = guardrail.guard()
+    drift_batch = guardrail.guard()
     drift_batch.attach_drift(_detector(relation, guardrail))
 
     # Warm-up: compile kernels / memoize codecs outside the timings.
@@ -163,8 +163,8 @@ def test_drift_instrumentation_overhead(workload):
 
 def test_instrumented_verdicts_match_bare(workload):
     guardrail, relation, rows = workload
-    bare = guardrail.row_guard()
-    drifted = guardrail.row_guard()
+    bare = guardrail.guard()
+    drifted = guardrail.guard()
     drifted.attach_drift(_detector(relation, guardrail))
     sample = rows[:200]
     assert [bare.check(r).ok for r in sample] == [
@@ -175,7 +175,7 @@ def test_instrumented_verdicts_match_bare(workload):
 def test_detector_actually_fed(workload):
     """The overhead number is honest only if the detector really ran."""
     guardrail, relation, rows = workload
-    guard = guardrail.row_guard()
+    guard = guardrail.guard()
     detector = _detector(relation, guardrail)
     guard.attach_drift(detector)
     for row in rows:

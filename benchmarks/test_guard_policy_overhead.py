@@ -1,4 +1,4 @@
-"""Policy-wrapper overhead — resilient guards vs. bare guards.
+"""Policy-wrapper overhead — the resilient guard vs. the bare guard.
 
 The degradation layer (policy dispatch + circuit breaker + watchdog
 bookkeeping) sits on the per-row hot path, so it must be nearly free:
@@ -14,8 +14,7 @@ from conftest import banner
 from repro.pgm import DAG, random_sem, sem_to_program
 from repro.resilience import (
     CircuitBreaker,
-    ResilientBatchGuard,
-    ResilientRowGuard,
+    ResilientGuard,
 )
 from repro.synth import Guardrail
 
@@ -51,17 +50,9 @@ def _best_of(fn, repeats=_REPEATS):
     return best
 
 
-def _wrap_row(guardrail):
-    return ResilientRowGuard(
-        guardrail.row_guard(),
-        policy="warn",
-        breaker=CircuitBreaker(max_retries=0),
-    )
-
-
-def _wrap_batch(guardrail):
-    return ResilientBatchGuard(
-        guardrail.batch_guard(),
+def _wrap(guardrail):
+    return ResilientGuard(
+        guardrail.guard(),
         policy="warn",
         breaker=CircuitBreaker(max_retries=0),
     )
@@ -70,10 +61,10 @@ def _wrap_batch(guardrail):
 def test_policy_wrapper_overhead(workload):
     guardrail, relation, rows = workload
 
-    bare_row = guardrail.row_guard()
-    wrapped_row = _wrap_row(guardrail)
-    bare_batch = guardrail.batch_guard()
-    wrapped_batch = _wrap_batch(guardrail)
+    bare_row = guardrail.guard()
+    wrapped_row = _wrap(guardrail)
+    bare_batch = guardrail.guard()
+    wrapped_batch = _wrap(guardrail)
 
     # Warm-up: compile kernels / memoize codecs outside the timings.
     for guard in (bare_row, wrapped_row):
@@ -106,8 +97,8 @@ def test_policy_wrapper_overhead(workload):
 
 def test_wrapped_verdicts_match_bare(workload):
     guardrail, _, rows = workload
-    bare = guardrail.row_guard()
-    wrapped = _wrap_row(guardrail)
+    bare = guardrail.guard()
+    wrapped = _wrap(guardrail)
     sample = rows[:200]
     assert [bare.check(r).ok for r in sample] == [
         wrapped.check(r).ok for r in sample

@@ -17,7 +17,7 @@ import numpy as np
 
 from repro import obs
 from repro.datasets import load
-from repro.errors import RowGuard, inject_errors
+from repro.errors import Guard, inject_errors
 from repro.synth import GuardrailConfig, synthesize
 
 
@@ -35,9 +35,9 @@ def main() -> None:
             train, GuardrailConfig(epsilon=0.02, min_support=4)
         )
 
-        # Online: every RowGuard.check emits a latency sample and a
+        # Online: every Guard.check emits a latency sample and a
         # tripwire-style verdict record.
-        guard = RowGuard(result.program)
+        guard = Guard(result.program)
         feed = inject_errors(serving, rate=0.05, rng=rng).relation
         for index in range(feed.n_rows):
             row = feed.row(index)

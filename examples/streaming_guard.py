@@ -1,9 +1,9 @@
 """Streaming deployment: vet rows one at a time (paper Fig. 1).
 
 Production guardrails sit in front of the model and see one row per
-request.  :class:`repro.errors.RowGuard` compiles the synthesized
-program into hash indexes so each check costs a handful of dictionary
-probes; this example simulates a serving loop over a corrupted feed and
+request.  :class:`repro.errors.Guard` compiles the synthesized
+program into hash indexes so each ``check`` costs a handful of
+dictionary probes; this example simulates a serving loop over a corrupted feed and
 prints the guard's running statistics.
 
 Run:  python examples/streaming_guard.py
@@ -13,7 +13,7 @@ import numpy as np
 
 from repro import obs
 from repro.datasets import load
-from repro.errors import RowGuard, inject_errors
+from repro.errors import Guard, inject_errors
 from repro.ml import NaiveBayes
 from repro.synth import Guardrail, GuardrailConfig
 
@@ -27,7 +27,7 @@ def main() -> None:
     guard_batch = Guardrail(
         GuardrailConfig(epsilon=0.02, min_support=4)
     ).fit(train)
-    guard = RowGuard(guard_batch.program)
+    guard = Guard(guard_batch.program)
     print(
         f"compiled {len(guard)} statements into the streaming guard "
         f"({len(guard_batch.program.branches)} branches)"

@@ -720,10 +720,10 @@ def _cmd_drift(args: argparse.Namespace) -> int:
             detector.scan(stream, ~mask, pool=pool)
             flagged = int(mask.sum())
         else:
-            row_guard = guard.row_guard()
-            row_guard.attach_drift(detector)
+            stream_guard = guard.guard()
+            stream_guard.attach_drift(detector)
             flagged = sum(
-                0 if row_guard.check(row).ok else 1
+                0 if stream_guard.check(row).ok else 1
                 for row in stream.iter_rows()
             )
         detector.flush()

@@ -7,7 +7,7 @@ matching branch of each statement and **threads the updated state**
 into the statements that follow.  Everything vectorized in the repo —
 :func:`repro.errors.detect.detect_errors`, the 0/1 loss in
 :mod:`repro.dsl.metrics`, coverage selection during synthesis, the SQL
-executor's guard stage, and :class:`repro.errors.stream.BatchGuard` —
+executor's guard stage, and :meth:`repro.errors.Guard.check_batch` —
 funnels through the kernels here, so the batch paths cannot drift from
 the row semantics again.
 
@@ -269,8 +269,7 @@ class CompiledProgram:
         self, program: Program, codecs: Mapping[str, Codec] | None = None
     ):
         codecs = dict(codecs or {})
-        # Dict-as-ordered-set: Codec.extend rejects duplicates within
-        # the new values, so collect each literal once, in first-seen
+        # Dict-as-ordered-set: collect each literal once, in first-seen
         # order (stable codes for a given program).
         literals: dict[str, dict[Hashable, None]] = {}
         for statement in program:
@@ -491,7 +490,7 @@ class CompiledProgram:
     ) -> KernelResult:
         """Run the kernel over raw code arrays (no relation required).
 
-        This is the entry point :class:`repro.errors.stream.BatchGuard`
+        This is the entry point :meth:`repro.errors.Guard.check_batch`
         uses: encode a micro-batch of rows with :meth:`encode_value`
         and evaluate them without building a :class:`Relation`.
         """

@@ -12,9 +12,9 @@ that follow.  Every evaluation path implements this definition:
 * **Vectorized semantics**: :func:`program_violations` (delegating to
   the compiled kernels of :mod:`repro.dsl.compiled`) — identical
   verdicts, computed over whole relations at once.
-* **Streaming guards**: :class:`repro.errors.stream.RowGuard` and
-  :class:`~repro.errors.stream.BatchGuard` — identical verdicts, per
-  incoming row or micro-batch.
+* **Streaming guard**: :class:`repro.errors.Guard` — identical
+  verdicts, per incoming row (hash probes) or micro-batch (the
+  compiled kernels).
 
 The *branch-local* helpers (:func:`condition_mask`,
 :func:`branch_masks`) are deliberately not state-threaded: they back

@@ -7,7 +7,8 @@ from .handle import (
     Strategy,
     apply_strategy,
 )
-from .stream import BatchGuard, GuardStats, RowGuard, RowVerdict
+from .stream import Guard, GuardStats, RowVerdict
+from .stream import BatchGuard, RowGuard  # noqa: F401 - former names
 from .inject import (
     InjectedError,
     InjectionReport,
@@ -16,8 +17,7 @@ from .inject import (
 )
 
 __all__ = [
-    "BatchGuard",
-    "RowGuard",
+    "Guard",
     "RowVerdict",
     "GuardStats",
     "DetectionResult",

@@ -1,27 +1,29 @@
-"""Streaming guards (the deployment mode of Fig. 1).
+"""The streaming guard (the deployment mode of Fig. 1).
 
 The batch path (:mod:`repro.errors.detect`) vectorizes over a whole
 relation; production guardrails instead vet rows as they arrive at the
-model.  Two compiled forms of the same canonical semantics
-(first-match, state-threaded Eqn. 1 — see :mod:`repro.dsl.semantics`)
-cover the two arrival patterns:
+model.  :class:`Guard` does that over one compiled program, with two
+evaluation paths of the same canonical semantics (first-match,
+state-threaded Eqn. 1 — see :mod:`repro.dsl.semantics`), one per
+arrival pattern:
 
-* :class:`RowGuard` vets rows *one at a time*: the program becomes
-  per-statement hash indexes (determinant values → expected literal),
-  so each row costs O(#statements) dictionary probes regardless of how
-  many branches the program has.
-* :class:`BatchGuard` vets *micro-batches*: rows are integer-coded and
-  pushed through the numpy kernels of :mod:`repro.dsl.compiled`,
-  amortizing the per-row probe overhead across the batch.
+* :meth:`Guard.check` vets rows *one at a time*: each statement is a
+  hash index (determinant values → expected literal), so each row
+  costs O(#statements) dictionary probes regardless of how many
+  branches the program has.
+* :meth:`Guard.check_batch` vets *micro-batches*: rows are
+  integer-coded and pushed through the numpy kernels of
+  :mod:`repro.dsl.compiled`, amortizing the per-row probe overhead
+  across the batch; :meth:`Guard.stream` cuts a row stream into such
+  batches.
 
-    guard = RowGuard(program)
+    guard = Guard(program)
     verdict = guard.check({"rel": "Husband", "marital-status": "Single"})
     verdict.ok                 # False
     verdict.violations         # (("marital-status", "Married-civ-spouse"),)
     guard.rectify(row)         # repaired copy of the row
 
-    batch = BatchGuard(program, batch_size=256)
-    for verdict in batch.stream(incoming_rows):
+    for verdict in guard.stream(incoming_rows, batch_size=256):
         ...
 """
 
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -38,6 +40,9 @@ from ..dsl import Program
 from ..dsl.compiled import compile_program, compiled_for
 from ..relation import Relation
 from ..relation.encoding import Codec
+from .handle import DataIntegrityError, Strategy, _program_domains, _repair_row
+
+_NO_BRANCH = object()
 
 
 @dataclass(frozen=True)
@@ -50,13 +55,6 @@ class RowVerdict:
 
     def __bool__(self) -> bool:
         return self.ok
-
-
-@dataclass
-class _CompiledStatement:
-    determinants: tuple[str, ...]
-    dependent: str
-    table: dict[tuple[Hashable, ...], Hashable]
 
 
 @dataclass
@@ -76,13 +74,31 @@ class GuardStats:
         return self.rows_flagged / self.rows_checked
 
 
-class RowGuard:
-    """A program compiled for per-row checking and repair."""
+class Guard:
+    """A program compiled for streaming checks and repair.
 
-    def __init__(self, program: Program):
+    Parameters
+    ----------
+    program:
+        The integrity-constraint program to enforce.
+    codecs:
+        Optional base codecs (e.g. the training relation's) for the
+        batch kernel to compile against; the program's own literals
+        are always folded in, so omitting this is safe.
+
+    :meth:`check` and :meth:`check_batch` return identical verdicts;
+    they differ only in how the cost of a row is paid.
+    """
+
+    def __init__(
+        self, program: Program, codecs: Mapping[str, Codec] | None = None
+    ):
         self.program = program
-        self._statements: list[_CompiledStatement] = []
-        for statement in program:
+        self._compiled = compile_program(program, codecs)
+        self._tables: list[
+            tuple[tuple[str, ...], str, dict[tuple[Hashable, ...], Hashable]]
+        ] = []
+        for statement in self._compiled.statements:
             table: dict[tuple[Hashable, ...], Hashable] = {}
             for branch in statement.branches:
                 key = tuple(
@@ -94,15 +110,12 @@ class RowGuard:
                 # Statement constructor, but hand-built programs exist),
                 # first-match order must win, not last-write.
                 table.setdefault(key, branch.literal)
-            self._statements.append(
-                _CompiledStatement(
-                    statement.determinants, statement.dependent, table
-                )
+            self._tables.append(
+                (statement.determinants, statement.dependent, table)
             )
+        self._domains: dict[str, list[Hashable]] | None = None
         self.stats = GuardStats()
-        self._drift = None
-        self._drift_tick = 0
-        self._drift_every = 1
+        self.attach_drift(None)
 
     # ------------------------------------------------------------------
 
@@ -110,11 +123,14 @@ class RowGuard:
         """Feed every verdict into a drift detector.
 
         ``detector`` follows the :class:`repro.resilience.DriftDetector`
-        protocol (``sample_every`` + ``ingest(row, ok)``); pass ``None``
-        to detach.  The guard inlines the detector's 1-in-k sampling
-        countdown (``_drift_tick``; 0 doubles as "no detector"), so a
-        skipped row pays one decrement — no method call — and only
-        every k-th verdict reaches the detector.
+        protocol (``sample_every`` + ``ingest``/``ingest_many``); pass
+        ``None`` to detach.  The guard inlines the detector's 1-in-k
+        sampling countdown (``_drift_tick``; 0 doubles as "no
+        detector"), so a skipped row pays one decrement — no method
+        call — and only every k-th verdict reaches the detector.  The
+        countdown carries across rows and batches alike, so
+        :meth:`check` and :meth:`check_batch` sample exactly the same
+        rows of a stream.
         """
         self._drift = detector
         self._drift_every = (
@@ -146,12 +162,7 @@ class RowGuard:
                 self._drift.ingest(row, verdict.ok)
         self.stats.rows_checked += 1
         if not verdict.ok:
-            self.stats.rows_flagged += 1
-            for attribute, _ in verdict.violations:
-                self.stats.violations_by_attribute[attribute] = (
-                    self.stats.violations_by_attribute.get(attribute, 0)
-                    + 1
-                )
+            self._count_flagged(verdict)
         if traced:
             obs.observe(
                 "guard.check_seconds", time.perf_counter() - start
@@ -163,26 +174,66 @@ class RowGuard:
             )
         return verdict
 
-    def _verdict(self, row: Mapping[str, Hashable]) -> RowVerdict:
-        """Stat-free vetting (used internally by repair).
+    def check_batch(
+        self, rows: Sequence[Mapping[str, Hashable]]
+    ) -> list[RowVerdict]:
+        """Vet a batch of rows in one kernel pass.
 
-        Implements the canonical Eqn. 1 semantics: statements probe the
-        *threaded* state (an upstream rewrite feeds downstream reads),
-        and the verdict compares the final state with the input row.
+        Returns one :class:`RowVerdict` per input row, in order.  With
+        tracing enabled a ``guard.batch`` record and a latency sample
+        are emitted per flush.
         """
-        original = dict(row)
-        state = dict(original)
-        writes: list[tuple[str, Hashable]] = []
-        for compiled in self._statements:
-            expected = self._expected(compiled, state)
-            if expected is _NO_BRANCH:
-                continue
-            if state.get(compiled.dependent) != expected:
-                writes.append((compiled.dependent, expected))
-                state[compiled.dependent] = expected
-        if state == original:
-            return RowVerdict(True)
-        return RowVerdict(False, tuple(writes))
+        rows = list(rows)
+        traced = obs.enabled()
+        start = time.perf_counter() if traced else 0.0
+        verdicts = self._verdicts(rows)
+        n = len(rows)
+        if self._drift is not None and n:
+            # The batch form of check()'s countdown: only the sampled
+            # slice pays the ``.ok`` extraction.
+            first = self._drift_tick - 1
+            if first >= n:
+                self._drift_tick -= n
+            else:
+                k = self._drift_every
+                last = first + ((n - 1 - first) // k) * k
+                self._drift_tick = last + k - n + 1
+                self._drift.ingest_many(
+                    rows[first::k],
+                    [verdict.ok for verdict in verdicts[first::k]],
+                )
+        self.stats.rows_checked += n
+        flagged = [verdict for verdict in verdicts if not verdict.ok]
+        for verdict in flagged:
+            self._count_flagged(verdict)
+        if traced:
+            obs.observe(
+                "guard.batch_seconds", time.perf_counter() - start
+            )
+            obs.record("guard.batch", n_rows=n, flagged=len(flagged))
+        return verdicts
+
+    def stream(
+        self, rows: Iterable[Mapping[str, Hashable]], batch_size: int = 256
+    ) -> Iterator[RowVerdict]:
+        """Vet an incoming row stream with micro-batching.
+
+        Rows are buffered up to ``batch_size`` and flushed through
+        :meth:`check_batch`; verdicts are yielded in arrival order.
+        The tail batch flushes when the iterable is exhausted.
+        """
+        return _micro_batches(self.check_batch, rows, batch_size)
+
+    def check_relation(self, relation: Relation) -> np.ndarray:
+        """Row-violation mask for a whole relation.
+
+        Compiles against the relation's own codecs (memoized), so this
+        matches :func:`repro.errors.detect.detect_errors` bit for bit.
+        """
+        result = compiled_for(self.program, relation).detect(relation)
+        self.stats.rows_checked += relation.n_rows
+        self.stats.rows_flagged += result.n_flagged
+        return result.row_mask
 
     def rectify(self, row: Mapping[str, Hashable]) -> dict[str, Hashable]:
         """Repair one row (same policy as the batch rectify strategy).
@@ -191,18 +242,15 @@ class RowGuard:
         per-statement dependent rewrite, applied in program order so
         upstream repairs feed downstream checks.
         """
-        from .handle import _program_domains, _repair_row
-
         traced = obs.enabled()
         start = time.perf_counter() if traced else 0.0
-        verdict = self._verdict(row)
-        if verdict.ok:
+        if self._verdict(row).ok:
             return dict(row)
         self.stats.rows_rectified += 1
+        if self._domains is None:
+            self._domains = _program_domains(self.program)
         repaired = dict(row)
-        changes = _repair_row(
-            self.program, repaired, _program_domains(self.program)
-        )
+        changes = _repair_row(self.program, repaired, self._domains)
         repaired.update(changes)
         if traced:
             obs.observe(
@@ -222,8 +270,6 @@ class RowGuard:
         the row as-is; ``coerce`` blanks violated dependents (None);
         ``rectify`` repairs.  Returns the (possibly modified) row.
         """
-        from .handle import DataIntegrityError, Strategy
-
         parsed = Strategy.parse(strategy)
         if parsed is Strategy.RECTIFY:
             return self.rectify(row)
@@ -243,160 +289,35 @@ class RowGuard:
 
     # ------------------------------------------------------------------
 
-    def _expected(
-        self, compiled: _CompiledStatement, row: Mapping[str, Hashable]
-    ):
-        # row.get(d) defaults to None, matching condition_holds: an
-        # absent attribute behaves like a missing (None) cell.
-        key = tuple(row.get(d) for d in compiled.determinants)
-        return compiled.table.get(key, _NO_BRANCH)
+    def _verdict(self, row: Mapping[str, Hashable]) -> RowVerdict:
+        """Stat-free per-row vetting (used internally by repair).
 
-    def __len__(self) -> int:
-        return len(self._statements)
-
-
-class BatchGuard:
-    """Vectorized sibling of :class:`RowGuard` for micro-batched vetting.
-
-    Rows are integer-coded against the program's compiled codecs and
-    evaluated by the numpy kernels of :mod:`repro.dsl.compiled`, so the
-    per-row cost of dictionary probes is amortized across the batch.
-    Verdicts are identical to :class:`RowGuard` — both implement the
-    canonical first-match, state-threaded Eqn. 1 semantics.
-
-    Parameters
-    ----------
-    program:
-        The integrity-constraint program to enforce.
-    codecs:
-        Optional base codecs (e.g. the training relation's) to compile
-        against; the program's own literals are always folded in, so
-        omitting this is safe.
-    batch_size:
-        Rows per kernel invocation when consuming a stream.
-    """
-
-    def __init__(
-        self,
-        program: Program,
-        codecs: Mapping[str, Codec] | None = None,
-        batch_size: int = 256,
-    ):
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        self.program = program
-        self.batch_size = int(batch_size)
-        self._compiled = compile_program(program, codecs)
-        self.stats = GuardStats()
-        self._drift = None
-        self._drift_tick = 0
-        self._drift_every = 1
-
-    # ------------------------------------------------------------------
-
-    def attach_drift(self, detector) -> None:
-        """Feed every verdict into a drift detector (see
-        :meth:`RowGuard.attach_drift`); ``None`` detaches.  The 1-in-k
-        sampling countdown carries across batch boundaries, so the
-        batch path samples exactly the rows the row path would."""
-        self._drift = detector
-        self._drift_every = (
-            getattr(detector, "sample_every", 1) if detector else 1
-        )
-        self._drift_tick = self._drift_every if detector else 0
-
-    @property
-    def drift(self):
-        """The attached drift detector, if any."""
-        return self._drift
-
-    def check_batch(
-        self, rows: Sequence[Mapping[str, Hashable]]
-    ) -> list[RowVerdict]:
-        """Vet a batch of rows in one kernel pass.
-
-        Returns one :class:`RowVerdict` per input row, in order.  With
-        tracing enabled a ``guard.batch`` record and a latency sample
-        are emitted per flush.
+        Implements the canonical Eqn. 1 semantics: statements probe the
+        *threaded* state (an upstream rewrite feeds downstream reads),
+        and the verdict compares the final state with the input row.
+        ``state.get(d)`` defaults to None, matching ``condition_holds``:
+        an absent attribute behaves like a missing (None) cell.
         """
-        rows = list(rows)
-        traced = obs.enabled()
-        start = time.perf_counter() if traced else 0.0
-        verdicts = self._verdicts(rows)
-        if self._drift is not None and rows:
-            # Inline the 1-in-k countdown (as RowGuard does) so the
-            # ``.ok`` extraction only runs over the sampled slice.
-            n = len(rows)
-            start = self._drift_tick - 1
-            if start >= n:
-                self._drift_tick -= n
-            else:
-                k = self._drift_every
-                last = start + ((n - 1 - start) // k) * k
-                self._drift_tick = last + k - n + 1
-                sampled = verdicts[start::k] if k > 1 else verdicts
-                self._drift.ingest_many(
-                    rows[start::k] if k > 1 else rows,
-                    [verdict.ok for verdict in sampled],
-                )
-        flagged = 0
-        for verdict in verdicts:
-            self.stats.rows_checked += 1
-            if not verdict.ok:
-                flagged += 1
-                self.stats.rows_flagged += 1
-                for attribute, _ in verdict.violations:
-                    self.stats.violations_by_attribute[attribute] = (
-                        self.stats.violations_by_attribute.get(attribute, 0)
-                        + 1
-                    )
-        if traced:
-            obs.observe(
-                "guard.batch_seconds", time.perf_counter() - start
+        original = dict(row)
+        state = dict(original)
+        writes: list[tuple[str, Hashable]] = []
+        for determinants, dependent, table in self._tables:
+            expected = table.get(
+                tuple(state.get(d) for d in determinants), _NO_BRANCH
             )
-            obs.record(
-                "guard.batch", n_rows=len(rows), flagged=flagged
-            )
-        return verdicts
-
-    def check(self, row: Mapping[str, Hashable]) -> RowVerdict:
-        """Vet a single row (a batch of one; prefer :meth:`stream`)."""
-        return self.check_batch([row])[0]
-
-    def stream(
-        self, rows: Iterable[Mapping[str, Hashable]]
-    ) -> Iterator[RowVerdict]:
-        """Vet an incoming row stream with micro-batching.
-
-        Rows are buffered up to ``batch_size`` and flushed through the
-        kernel; verdicts are yielded in arrival order.  The tail batch
-        flushes when the iterable is exhausted.
-        """
-        buffer: list[Mapping[str, Hashable]] = []
-        for row in rows:
-            buffer.append(row)
-            if len(buffer) >= self.batch_size:
-                yield from self.check_batch(buffer)
-                buffer = []
-        if buffer:
-            yield from self.check_batch(buffer)
-
-    def check_relation(self, relation: Relation) -> np.ndarray:
-        """Row-violation mask for a whole relation.
-
-        Compiles against the relation's own codecs (memoized), so this
-        matches :func:`repro.errors.detect.detect_errors` bit for bit.
-        """
-        result = compiled_for(self.program, relation).detect(relation)
-        self.stats.rows_checked += relation.n_rows
-        self.stats.rows_flagged += result.n_flagged
-        return result.row_mask
-
-    # ------------------------------------------------------------------
+            if expected is _NO_BRANCH:
+                continue
+            if state.get(dependent) != expected:
+                writes.append((dependent, expected))
+                state[dependent] = expected
+        if state == original:
+            return RowVerdict(True)
+        return RowVerdict(False, tuple(writes))
 
     def _verdicts(
         self, rows: list[Mapping[str, Hashable]]
     ) -> list[RowVerdict]:
+        """Stat-free batch vetting through the compiled kernel."""
         if not rows:
             return []
         compiled = self._compiled
@@ -426,15 +347,37 @@ class BatchGuard:
             for index in range(len(rows))
         ]
 
+    def _count_flagged(self, verdict: RowVerdict) -> None:
+        self.stats.rows_flagged += 1
+        counts = self.stats.violations_by_attribute
+        for attribute, _ in verdict.violations:
+            counts[attribute] = counts.get(attribute, 0) + 1
+
     def __len__(self) -> int:
-        return len(self._compiled.statements)
+        return len(self._tables)
 
 
-class _Sentinel:
-    __slots__ = ()
+def _micro_batches(
+    check_batch: Callable[[list], list[RowVerdict]],
+    rows: Iterable,
+    batch_size: int,
+) -> Iterator[RowVerdict]:
+    """``check_batch``'s verdicts over ``rows`` cut into batches of
+    ``batch_size`` (the tail flushes at end of input), in arrival order.
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return "<no-branch>"
+    The one micro-batching loop behind every guard's ``stream``.
+    """
+    if batch_size < 1:
+        raise ValueError("batch_size must be >= 1")
+    buffer: list = []
+    for row in rows:
+        buffer.append(row)
+        if len(buffer) >= batch_size:
+            yield from check_batch(buffer)
+            buffer = []
+    if buffer:
+        yield from check_batch(buffer)
 
 
-_NO_BRANCH = _Sentinel()
+RowGuard = Guard  # former name of the per-row guard
+BatchGuard = Guard  # former name of the micro-batch guard

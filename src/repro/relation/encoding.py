@@ -90,8 +90,13 @@ class Codec:
         return value in self._codes
 
     def extend(self, values: Iterable[Hashable]) -> "Codec":
-        """Return a new codec with unseen ``values`` appended."""
-        extra = [v for v in values if v is not None and v not in self._codes]
+        """Return a new codec with unseen ``values`` appended.
+
+        Repeats among ``values`` are appended once, in first-seen order.
+        """
+        extra = dict.fromkeys(
+            v for v in values if v is not None and v not in self._codes
+        )
         if not extra:
             return self
         return Codec(self._values + tuple(extra))

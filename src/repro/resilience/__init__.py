@@ -8,8 +8,8 @@ Five pillars keep the pipeline production-safe:
   ``synthesize`` returns a best-so-far ``partial`` result;
 * :mod:`~repro.resilience.policy` — :class:`GuardPolicy` degradation
   modes (strict / warn / pass_through / reject), a
-  :class:`CircuitBreaker` with retry/backoff, and resilient wrappers
-  for the streaming guards;
+  :class:`CircuitBreaker` with retry/backoff, and a resilient wrapper
+  for the streaming guard;
 * :mod:`~repro.resilience.drift` — online :class:`DriftDetector`\\ s
   (codec-unseen rate, χ²/G² marginal shift, EWMA violation chart)
   raising typed :class:`DriftAlert`\\ s when the stream leaves the
@@ -99,20 +99,20 @@ from .policy import (
     DegradationStats,
     GuardPolicy,
     GuardUnavailableError,
-    ResilientBatchGuard,
-    ResilientRowGuard,
+    ResilientGuard,
     resilient_call,
 )
+from .policy import ResilientBatchGuard, ResilientRowGuard  # noqa: F401 - former names
 from .recovery import (
     OVERFLOW_POLICIES,
     GuardrailSupervisor,
     GuardrailVersions,
     HealOutcome,
-    LiveBatchGuard,
-    LiveRowGuard,
+    LiveGuard,
     QuarantineBuffer,
     SupervisorConfig,
 )
+from .recovery import LiveBatchGuard, LiveRowGuard  # noqa: F401 - former names
 
 __all__ = [
     "Budget",
@@ -123,8 +123,7 @@ __all__ = [
     "BreakerState",
     "CircuitBreaker",
     "DegradationStats",
-    "ResilientRowGuard",
-    "ResilientBatchGuard",
+    "ResilientGuard",
     "resilient_call",
     "DRIFT_KINDS",
     "DriftAlert",
@@ -134,8 +133,7 @@ __all__ = [
     "OVERFLOW_POLICIES",
     "QuarantineBuffer",
     "GuardrailVersions",
-    "LiveRowGuard",
-    "LiveBatchGuard",
+    "LiveGuard",
     "SupervisorConfig",
     "HealOutcome",
     "GuardrailSupervisor",

@@ -37,8 +37,7 @@ from .policy import (
     CircuitBreaker,
     GuardPolicy,
     GuardUnavailableError,
-    ResilientBatchGuard,
-    ResilientRowGuard,
+    ResilientGuard,
 )
 
 FAULT_CLASSES = (
@@ -317,7 +316,7 @@ _MALFORMED_ROWS: list = [
     {"PostalCode": "73301", "City": "Austin", "State": "TX", "x": 1},  # extra
     42,  # scalar garbage
 ]
-_MALFORMED_BAD = {1, 2, 6}  # indexes the bare guards cannot vet
+_MALFORMED_BAD = {1, 2, 6}  # indexes the bare guard cannot vet
 
 
 def _stream_guards(policy: GuardPolicy):
@@ -326,17 +325,14 @@ def _stream_guards(policy: GuardPolicy):
     guardrail = Guardrail.from_program(chaos_program())
     # Generous breaker: the point here is per-row degradation, not
     # tripping the circuit (the breaker has its own unit tests).
-    row = ResilientRowGuard(
-        guardrail.row_guard(),
-        policy=policy,
-        breaker=CircuitBreaker(failure_threshold=10_000, max_retries=0),
+    return tuple(
+        ResilientGuard(
+            guardrail.guard(),
+            policy=policy,
+            breaker=CircuitBreaker(failure_threshold=10_000, max_retries=0),
+        )
+        for _ in range(2)
     )
-    batch = ResilientBatchGuard(
-        guardrail.batch_guard(batch_size=4),
-        policy=policy,
-        breaker=CircuitBreaker(failure_threshold=10_000, max_retries=0),
-    )
-    return row, batch
 
 
 def _judge_stream(
@@ -345,16 +341,17 @@ def _judge_stream(
     rows: list,
     bad: set[int],
 ) -> ChaosOutcome:
-    """Stream ``rows`` through both resilient guards; check the policy.
+    """Vet ``rows`` through a resilient guard row by row and in
+    micro-batches of 4; check the policy.
 
-    ``bad`` marks the indexes the bare guards cannot vet; those must
+    ``bad`` marks the indexes the bare guard cannot vet; those must
     raise under ``strict`` and take the policy verdict otherwise, and
-    the row/batch wrappers must agree row for row.
+    the row and batch paths must agree row for row.
     """
     row_guard, batch_guard = _stream_guards(policy)
     if policy is GuardPolicy.STRICT and bad:
         try:
-            list(row_guard.stream(rows))
+            [row_guard.check(row) for row in rows]
         except GuardUnavailableError as error:
             return ChaosOutcome(
                 fault, policy, True, f"failed closed: {error}"
@@ -370,8 +367,8 @@ def _judge_stream(
             fault, policy, False, "strict policy swallowed the fault"
         )
     try:
-        row_verdicts = list(row_guard.stream(rows))
-        batch_verdicts = list(batch_guard.stream(rows))
+        row_verdicts = [row_guard.check(row) for row in rows]
+        batch_verdicts = list(batch_guard.stream(rows, batch_size=4))
     except Exception as error:  # noqa: BLE001
         return ChaosOutcome(
             fault, policy, False, f"unhandled {type(error).__name__}: {error}"

@@ -1,4 +1,4 @@
-"""Online drift detection for the streaming guards.
+"""Online drift detection for the streaming guard.
 
 The synthesized program models the data-generating process *at
 training time*; in deployment the input distribution moves — new
@@ -6,7 +6,7 @@ category values, shifted marginals, broken upstream feeds — and a
 stale guard either silently degrades (rising false flags) or trips the
 circuit breaker with no path back.  This module closes the detection
 half of the self-healing loop with three online detectors, each fed by
-the streaming guards (:mod:`repro.errors.stream`) and each emitting
+the streaming guard (:mod:`repro.errors.stream`) and each emitting
 typed :class:`DriftAlert` records:
 
 * **codec-unseen values** — per attribute, the fraction of window
@@ -27,7 +27,7 @@ drift-instrumented guard stays within a few percent of bare-guard
 throughput (``benchmarks/test_drift_overhead.py`` enforces <10%).
 
     detector = DriftDetector.from_training(train, program=guard.program)
-    guard = gr.row_guard()
+    guard = gr.guard()
     guard.attach_drift(detector)
     for row in stream:
         guard.check(row)
@@ -246,7 +246,7 @@ class DriftDetector:
     def ingest(self, row: Mapping[str, Hashable], ok: bool) -> None:
         """Buffer one *already-sampled* row (no countdown).
 
-        The streaming guards inline the 1-in-k countdown themselves
+        The streaming guard inlines the 1-in-k countdown itself
         (so skipped rows never pay a method call) and hand every k-th
         verdict here; external feeders should call :meth:`observe`.
         """
@@ -273,7 +273,7 @@ class DriftDetector:
         rows: Sequence[Mapping[str, Hashable]],
         oks: Sequence[bool],
     ) -> None:
-        """Feed a vetted micro-batch (the :class:`BatchGuard` path).
+        """Feed a vetted micro-batch (the ``Guard.check_batch`` path).
 
         Sampling is applied across batch boundaries (the countdown
         carries over), so the batch path sees exactly the rows the

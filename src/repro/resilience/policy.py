@@ -17,8 +17,8 @@ does to the rows it can no longer vet:
 ``failure_threshold`` consecutive failures the breaker opens and calls
 are refused outright (:class:`CircuitOpenError`) until
 ``recovery_seconds`` pass, at which point a half-open probe is allowed
-through.  :class:`ResilientRowGuard` / :class:`ResilientBatchGuard`
-compose both around the streaming guards of :mod:`repro.errors.stream`.
+through.  :class:`ResilientGuard` composes both around the streaming
+guard of :mod:`repro.errors.stream`.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .. import obs
-from ..errors.stream import RowVerdict
+from ..errors.stream import RowVerdict, _micro_batches
 
 
 class GuardPolicy(enum.Enum):
@@ -234,15 +234,31 @@ class DegradationStats:
         return self.failures > 0 or self.slow_calls > 0
 
 
-class _ResilientGuardBase:
-    """Shared failure handling for the resilient guard wrappers."""
+class ResilientGuard:
+    """A streaming guard that degrades instead of dying.
+
+    Wraps a :class:`~repro.errors.Guard` (or a
+    :class:`~repro.resilience.LiveGuard`) with the breaker and the
+    watchdog, and converts any guard failure (adversarial input,
+    injected fault, open circuit) into the policy's verdict.  A batch
+    kernel failure (one malformed row poisons the whole encode) is
+    retried row by row, so healthy rows in a bad batch still get real
+    verdicts and only the offending rows degrade — :meth:`check` and
+    :meth:`check_batch` therefore agree under the same policy.
+
+        guard = ResilientGuard(gr.guard(), policy="warn")
+        guard.check(["not", "a", "mapping"]).ok      # True (fail open)
+        guard.stats.failures                          # 1
+    """
 
     def __init__(
         self,
+        guard,
         policy: "GuardPolicy | str" = GuardPolicy.STRICT,
         breaker: CircuitBreaker | None = None,
         watchdog_seconds: float | None = None,
     ):
+        self.guard = guard
         self.policy = GuardPolicy.parse(policy)
         self.breaker = breaker or CircuitBreaker()
         self.watchdog_seconds = watchdog_seconds
@@ -252,7 +268,7 @@ class _ResilientGuardBase:
         """Attach a drift detector to the wrapped guard.
 
         Delegates to the inner guard's ``attach_drift`` (see
-        :meth:`repro.errors.RowGuard.attach_drift`), so detection rides
+        :meth:`repro.errors.Guard.attach_drift`), so detection rides
         the same verdicts the caller sees — including a degraded
         verdict's row never reaching the detector, since a row the
         guard could not vet says nothing about drift.
@@ -263,6 +279,81 @@ class _ResilientGuardBase:
     def drift(self):
         """The inner guard's attached drift detector, if any."""
         return getattr(self.guard, "drift", None)
+
+    def check(self, row) -> RowVerdict:
+        """Vet one row; failures yield the policy verdict."""
+        breaker = self.breaker
+        # Hot path: no watchdog, no retries, circuit closed — the
+        # wrapper must cost next to nothing per row, so skip the timer
+        # and the breaker's dispatch machinery.
+        if (
+            self.watchdog_seconds is None
+            and breaker.max_retries == 0
+            and breaker.state is BreakerState.CLOSED
+        ):
+            try:
+                verdict = self.guard.check(row)
+            except Exception as error:
+                breaker.record_failure()
+                return self._degraded_verdict(error)
+            if breaker.consecutive_failures:
+                breaker.record_success()
+            return verdict
+        try:
+            start = time.perf_counter()
+            verdict = breaker.call(self.guard.check, row)
+            self._watch(time.perf_counter() - start)
+            return verdict
+        except Exception as error:
+            return self._degraded_verdict(error)
+
+    def check_batch(self, rows: Sequence) -> list[RowVerdict]:
+        """Vet a batch; kernel failures fall back to per-row vetting."""
+        rows = list(rows)
+        try:
+            start = time.perf_counter()
+            verdicts = self.breaker.call(self.guard.check_batch, rows)
+            self._watch(time.perf_counter() - start)
+            return verdicts
+        except Exception:
+            if obs.enabled():
+                obs.count("resilience.guard.batch_salvage")
+            return [self._check_one(row) for row in rows]
+
+    def stream(
+        self, rows: Iterable, batch_size: int = 256
+    ) -> Iterator[RowVerdict]:
+        """Vet a row stream with micro-batching and per-row salvage;
+        every row gets a verdict, come what may."""
+        return _micro_batches(self.check_batch, rows, batch_size)
+
+    def rectify(self, row) -> dict[str, Hashable] | None:
+        """Repair one row; on failure the policy decides the fallback.
+
+        Fail-open policies return the row unrepaired (best effort);
+        ``reject`` returns ``None`` (the row is withheld); ``strict``
+        raises :class:`GuardUnavailableError`.
+        """
+        try:
+            start = time.perf_counter()
+            repaired = self.breaker.call(self.guard.rectify, row)
+            self._watch(time.perf_counter() - start)
+            return repaired
+        except Exception as error:
+            self._degraded_verdict(error)  # raises under strict
+            if self.policy is GuardPolicy.REJECT:
+                return None
+            try:
+                return dict(row)
+            except Exception:
+                return None
+
+    def _check_one(self, row) -> RowVerdict:
+        """Salvage one row of a failed batch through the batch kernel."""
+        try:
+            return self.breaker.call(self.guard.check_batch, [row])[0]
+        except Exception as error:
+            return self._degraded_verdict(error)
 
     def _degraded_verdict(self, error: BaseException) -> RowVerdict:
         """The policy-dictated verdict for a row the guard never saw."""
@@ -305,142 +396,12 @@ class _ResilientGuardBase:
                 obs.count("resilience.guard.slow")
                 obs.observe("resilience.guard.slow_seconds", elapsed)
 
-
-class ResilientRowGuard(_ResilientGuardBase):
-    """A :class:`~repro.errors.RowGuard` that degrades instead of dying.
-
-    Wraps ``check`` / ``rectify`` / ``process`` with the breaker and
-    converts any guard failure (adversarial input, injected fault, open
-    circuit) into the policy's verdict.
-
-        guard = ResilientRowGuard(gr.row_guard(), policy="warn")
-        guard.check(["not", "a", "mapping"]).ok      # True (fail open)
-        guard.stats.failures                          # 1
-    """
-
-    def __init__(
-        self,
-        guard,
-        policy: "GuardPolicy | str" = GuardPolicy.STRICT,
-        breaker: CircuitBreaker | None = None,
-        watchdog_seconds: float | None = None,
-    ):
-        super().__init__(policy, breaker, watchdog_seconds)
-        self.guard = guard
-
-    def check(self, row) -> RowVerdict:
-        """Vet one row; failures yield the policy verdict."""
-        breaker = self.breaker
-        # Hot path: no watchdog, no retries, circuit closed — the
-        # wrapper must cost next to nothing per row, so skip the timer
-        # and the breaker's dispatch machinery.
-        if (
-            self.watchdog_seconds is None
-            and breaker.max_retries == 0
-            and breaker.state is BreakerState.CLOSED
-        ):
-            try:
-                verdict = self.guard.check(row)
-            except Exception as error:
-                breaker.record_failure()
-                return self._degraded_verdict(error)
-            if breaker.consecutive_failures:
-                breaker.record_success()
-            return verdict
-        try:
-            start = time.perf_counter()
-            verdict = breaker.call(self.guard.check, row)
-            self._watch(time.perf_counter() - start)
-            return verdict
-        except Exception as error:
-            return self._degraded_verdict(error)
-
-    def rectify(self, row) -> dict[str, Hashable] | None:
-        """Repair one row; on failure the policy decides the fallback.
-
-        Fail-open policies return the row unrepaired (best effort);
-        ``reject`` returns ``None`` (the row is withheld); ``strict``
-        raises :class:`GuardUnavailableError`.
-        """
-        try:
-            start = time.perf_counter()
-            repaired = self.breaker.call(self.guard.rectify, row)
-            self._watch(time.perf_counter() - start)
-            return repaired
-        except Exception as error:
-            self._degraded_verdict(error)  # raises under strict
-            if self.policy is GuardPolicy.REJECT:
-                return None
-            try:
-                return dict(row)
-            except Exception:
-                return None
-
-    def stream(self, rows: Iterable) -> Iterator[RowVerdict]:
-        """Vet a row stream; every row gets a verdict, come what may."""
-        for row in rows:
-            yield self.check(row)
-
     def __len__(self) -> int:
         return len(self.guard)
 
 
-class ResilientBatchGuard(_ResilientGuardBase):
-    """A :class:`~repro.errors.BatchGuard` wrapper with per-row salvage.
-
-    A batch kernel failure (one malformed row poisons the whole encode)
-    is retried row by row, so healthy rows in a bad batch still get real
-    verdicts and only the offending rows degrade per policy.  Verdicts
-    therefore match :class:`ResilientRowGuard` under the same policy.
-    """
-
-    def __init__(
-        self,
-        guard,
-        policy: "GuardPolicy | str" = GuardPolicy.STRICT,
-        breaker: CircuitBreaker | None = None,
-        watchdog_seconds: float | None = None,
-    ):
-        super().__init__(policy, breaker, watchdog_seconds)
-        self.guard = guard
-
-    def check(self, row) -> RowVerdict:
-        """Vet one row (a batch of one)."""
-        return self.check_batch([row])[0]
-
-    def check_batch(self, rows: Sequence) -> list[RowVerdict]:
-        """Vet a batch; kernel failures fall back to per-row vetting."""
-        rows = list(rows)
-        try:
-            start = time.perf_counter()
-            verdicts = self.breaker.call(self.guard.check_batch, rows)
-            self._watch(time.perf_counter() - start)
-            return verdicts
-        except Exception:
-            if obs.enabled():
-                obs.count("resilience.guard.batch_salvage")
-            return [self._check_one(row) for row in rows]
-
-    def _check_one(self, row) -> RowVerdict:
-        try:
-            return self.breaker.call(self.guard.check_batch, [row])[0]
-        except Exception as error:
-            return self._degraded_verdict(error)
-
-    def stream(self, rows: Iterable) -> Iterator[RowVerdict]:
-        """Vet a row stream with micro-batching and per-row salvage."""
-        buffer: list = []
-        size = getattr(self.guard, "batch_size", 256)
-        for row in rows:
-            buffer.append(row)
-            if len(buffer) >= size:
-                yield from self.check_batch(buffer)
-                buffer = []
-        if buffer:
-            yield from self.check_batch(buffer)
-
-    def __len__(self) -> int:
-        return len(self.guard)
+ResilientRowGuard = ResilientGuard  # former name of the row wrapper
+ResilientBatchGuard = ResilientGuard  # former name of the batch wrapper
 
 
 def resilient_call(

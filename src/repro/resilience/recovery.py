@@ -17,10 +17,9 @@ healthy state:
   stays active.  The holder speaks the executor's guardrail protocol
   (``handle``/``check``/``program``), so it plugs straight into
   :class:`repro.sql.QueryExecutor` and swaps take effect mid-session;
-* :class:`LiveRowGuard` / :class:`LiveBatchGuard` — streaming-guard
-  proxies that follow the holder's current version, so long-lived
-  consumers pick up a hot-swap on their next check without rebuilding
-  anything themselves;
+* :class:`LiveGuard` — a streaming-guard proxy that follows the
+  holder's current version, so long-lived consumers pick up a hot-swap
+  on their next check without rebuilding anything themselves;
 * :class:`GuardrailSupervisor` — the conductor: feeds the detectors,
   quarantines flagged rows, and on a :class:`DriftAlert` re-synthesizes
   under a :class:`~repro.resilience.Budget` (warm-started from the
@@ -44,7 +43,7 @@ from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .. import obs
-from ..errors.stream import RowVerdict
+from ..errors.stream import Guard, RowVerdict, _micro_batches
 from ..relation import Relation
 from ..synth import Guardrail, GuardrailLoadError
 from .budget import Budget
@@ -167,7 +166,7 @@ class GuardrailVersions:
 
     The *live* version is a single ``(number, guardrail)`` tuple
     reference, so a swap is atomic with respect to concurrent readers
-    (:class:`LiveRowGuard`, the SQL executor's guard stage, the
+    (:class:`LiveGuard`, the SQL executor's guard stage, the
     serving layer's batchers): every check runs against exactly one
     version, before or after the swap, never a mixture — and
     :meth:`snapshot` hands readers a *consistent* pair, never a new
@@ -326,30 +325,30 @@ class GuardrailVersions:
         """Row-violation mask under the live version."""
         return self.current.check(relation)
 
-    def row_guard(self) -> "LiveRowGuard":
-        """A streaming row guard that follows hot-swaps."""
-        return LiveRowGuard(self)
-
-    def batch_guard(self, batch_size: int = 256) -> "LiveBatchGuard":
-        """A streaming batch guard that follows hot-swaps."""
-        return LiveBatchGuard(self, batch_size=batch_size)
+    def guard(self) -> "LiveGuard":
+        """A streaming guard that follows hot-swaps."""
+        return LiveGuard(self)
 
 
-class _LiveGuardBase:
-    """Shared version-following logic for the live guard proxies.
+class LiveGuard:
+    """A :class:`~repro.errors.Guard` proxy bound to the live version.
 
-    The rebuilt inner guard lives in a single immutable
-    ``(version, guard)`` snapshot, refreshed under a lock, so a check
-    racing a :meth:`GuardrailVersions.swap` can never interleave the
-    guard with the wrong version label (the torn state where verdicts
-    keep coming from the old program while :attr:`version` reports the
-    new one) and can never rebuild twice for one version (which
-    silently dropped the first rebuild's ``stats`` counters).
+    The first call after a hot-swap transparently rebuilds the inner
+    guard for the new program; verdict semantics are exactly
+    :class:`~repro.errors.Guard`'s.  The rebuilt guard lives in a
+    single immutable ``(version, guard)`` snapshot, refreshed under a
+    lock, so a check racing a :meth:`GuardrailVersions.swap` can never
+    interleave the guard with the wrong version label (the torn state
+    where verdicts keep coming from the old program while
+    :attr:`version` reports the new one) and can never rebuild twice
+    for one version (which silently dropped the first rebuild's
+    ``stats`` counters).  A batch runs wholly under one version, so
+    :meth:`stream` picks up swaps at batch boundaries.
     """
 
     def __init__(self, versions: GuardrailVersions):
         self._versions = versions
-        self._built: tuple[int, object] | None = None
+        self._built: tuple[int, Guard] | None = None
         self._drift = None
         self._lock = threading.Lock()
         #: Version the most recent operation ran under.  Single-consumer
@@ -357,8 +356,14 @@ class _LiveGuardBase:
         #: concurrent readers should use :meth:`current_snapshot`.
         self.last_version = 0
 
-    def _snapshot(self) -> tuple[int, object]:
-        """The live ``(version, inner guard)`` pair (rebuilt on swap)."""
+    def _build(self, guardrail: Guardrail) -> Guard:
+        return guardrail.guard()
+
+    def current_snapshot(self) -> tuple[int, Guard]:
+        """A consistent ``(version, guard)`` pair for version-stamped
+        work: the guard *is* the one built for that version (rebuilt
+        on swap), even when a hot-swap lands concurrently (the pair is
+        simply one swap behind until the next call)."""
         built = self._built
         if built is not None and built[0] == self._versions.version:
             self.last_version = built[0]
@@ -375,16 +380,9 @@ class _LiveGuardBase:
             self.last_version = built[0]
             return built
 
-    def _current(self):
+    def _current(self) -> Guard:
         """The inner guard for the live version (rebuilt on swap)."""
-        return self._snapshot()[1]
-
-    def current_snapshot(self) -> tuple[int, object]:
-        """A consistent ``(version, guard)`` pair for version-stamped
-        work: the guard *is* the one built for that version, even when
-        a hot-swap lands concurrently (the pair is simply one swap
-        behind until the next call)."""
-        return self._snapshot()
+        return self.current_snapshot()[1]
 
     def attach_drift(self, detector) -> None:
         """Attach a drift detector that survives hot-swap rebuilds."""
@@ -408,24 +406,20 @@ class _LiveGuardBase:
         """The inner guard's counters (reset when a swap rebuilds it)."""
         return self._current().stats
 
-    def __len__(self) -> int:
-        return len(self._current())
-
-
-class LiveRowGuard(_LiveGuardBase):
-    """A :class:`~repro.errors.RowGuard` proxy bound to the live version.
-
-    The first check after a hot-swap transparently rebuilds the
-    compiled per-statement indexes for the new program; verdict
-    semantics are exactly :class:`~repro.errors.RowGuard`'s.
-    """
-
-    def _build(self, guardrail: Guardrail):
-        return guardrail.row_guard()
-
     def check(self, row: Mapping[str, Hashable]) -> RowVerdict:
         """Vet one row against the live version."""
         return self._current().check(row)
+
+    def check_batch(self, rows: Sequence) -> list[RowVerdict]:
+        """Vet a batch against the live version."""
+        return self._current().check_batch(rows)
+
+    def stream(
+        self, rows: Iterable, batch_size: int = 256
+    ) -> Iterator[RowVerdict]:
+        """Vet a row stream with micro-batching; each flush runs wholly
+        under one version (verdicts are never mixed within a batch)."""
+        return _micro_batches(self.check_batch, rows, batch_size)
 
     def rectify(self, row: Mapping[str, Hashable]) -> dict:
         """Repair one row against the live version."""
@@ -435,41 +429,12 @@ class LiveRowGuard(_LiveGuardBase):
         """One-shot vetting under a named strategy (live version)."""
         return self._current().process(row, strategy)
 
+    def __len__(self) -> int:
+        return len(self._current())
 
-class LiveBatchGuard(_LiveGuardBase):
-    """A :class:`~repro.errors.BatchGuard` proxy bound to the live version."""
 
-    def __init__(self, versions: GuardrailVersions, batch_size: int = 256):
-        super().__init__(versions)
-        self.batch_size = int(batch_size)
-
-    def _build(self, guardrail: Guardrail):
-        return guardrail.batch_guard(batch_size=self.batch_size)
-
-    def check(self, row: Mapping[str, Hashable]) -> RowVerdict:
-        """Vet one row (a batch of one) against the live version."""
-        return self._current().check(row)
-
-    def check_batch(self, rows: Sequence) -> list[RowVerdict]:
-        """Vet a batch against the live version."""
-        return self._current().check_batch(rows)
-
-    def stream(self, rows: Iterable) -> Iterator[RowVerdict]:
-        """Vet a row stream with micro-batching.
-
-        Version changes are picked up at batch boundaries: each flush
-        runs wholly under one version (verdicts are never mixed within
-        a batch), matching :class:`LiveRowGuard` row for row on the
-        same stream whenever swaps land between batches.
-        """
-        buffer: list = []
-        for row in rows:
-            buffer.append(row)
-            if len(buffer) >= self.batch_size:
-                yield from self.check_batch(buffer)
-                buffer = []
-        if buffer:
-            yield from self.check_batch(buffer)
+LiveRowGuard = LiveGuard  # former name of the row proxy
+LiveBatchGuard = LiveGuard  # former name of the batch proxy
 
 
 @dataclass
@@ -556,7 +521,7 @@ class GuardrailSupervisor:
         :class:`~repro.resilience.GuardPolicy` note for reporting; the
         supervisor itself never raises out of :meth:`check` for data
         problems (violations are verdicts, not failures), so the
-        policy only governs how callers wrap the live guards.
+        policy only governs how callers wrap the live guard.
     synth_config:
         :class:`~repro.synth.GuardrailConfig` for re-synthesis
         (default: the incumbent's own config).
@@ -595,7 +560,7 @@ class GuardrailSupervisor:
         )
         self.heals: list[HealOutcome] = []
         self.alerts: list[DriftAlert] = []
-        self._row_guard = self.versions.row_guard()
+        self._guard = self.versions.guard()
         self._history: deque = deque(maxlen=self.config.history_rows)
         self._cooldown = 0
         self._fill_cache = None  # built lazily; shared across heals
@@ -607,13 +572,9 @@ class GuardrailSupervisor:
         """The live guardrail version."""
         return self.versions.version
 
-    def row_guard(self) -> LiveRowGuard:
-        """A hot-swap-following row guard over the supervised versions."""
-        return self.versions.row_guard()
-
-    def batch_guard(self, batch_size: int = 256) -> LiveBatchGuard:
-        """A hot-swap-following batch guard over the supervised versions."""
-        return self.versions.batch_guard(batch_size=batch_size)
+    def guard(self) -> LiveGuard:
+        """A hot-swap-following guard over the supervised versions."""
+        return self.versions.guard()
 
     def check(self, row: Mapping[str, Hashable]) -> RowVerdict:
         """Vet one row, feed the detectors, and heal when drift fires.
@@ -624,7 +585,7 @@ class GuardrailSupervisor:
         quarantine buffer), and any pending :class:`DriftAlert`
         triggers a heal once the cooldown allows.
         """
-        verdict = self._row_guard.check(row)
+        verdict = self._guard.check(row)
         self._ingest(row, verdict.ok)
         return verdict
 

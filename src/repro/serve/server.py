@@ -2,7 +2,7 @@
 
 :class:`GuardServer` registers many named guardrails (tenants), accepts
 concurrent ``check`` / ``rectify`` / ``predict`` requests, and
-coalesces them per tenant into :class:`~repro.errors.BatchGuard`
+coalesces them per tenant into :class:`~repro.errors.Guard`
 micro-batches.  Verdicts are bit-identical to a direct serial
 ``check_batch`` over the same rows — batching changes latency and
 throughput, never semantics — and per-tenant hot-swap

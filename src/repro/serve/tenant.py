@@ -4,10 +4,11 @@ Each registered tenant owns
 
 * a :class:`~repro.resilience.GuardrailVersions` holder (hot-swap under
   live traffic, per tenant);
-* live guard proxies (:class:`~repro.resilience.LiveBatchGuard` /
-  :class:`~repro.resilience.LiveRowGuard`) wrapped in the resilient
-  guards, so a per-tenant :class:`~repro.resilience.GuardPolicy` and
-  :class:`~repro.resilience.CircuitBreaker` govern degradation;
+* one live guard proxy (:class:`~repro.resilience.LiveGuard`) wrapped
+  in one :class:`~repro.resilience.ResilientGuard`, so a per-tenant
+  :class:`~repro.resilience.GuardPolicy` and
+  :class:`~repro.resilience.CircuitBreaker` govern degradation of
+  checks and repairs alike;
 * a bounded admission queue: requests coalesce into micro-batches
   (flush on ``max_batch`` rows or ``max_wait_ms``), and an overload
   pipeline sheds deliberately — adaptive admission
@@ -36,8 +37,7 @@ from ..resilience import (
     CircuitBreaker,
     GuardrailVersions,
     QuarantineBuffer,
-    ResilientBatchGuard,
-    ResilientRowGuard,
+    ResilientGuard,
 )
 from ..resilience.overload import (
     STEADY_CLOCK,
@@ -188,18 +188,9 @@ class Tenant:
             recovery_seconds=self.config.recovery_seconds,
             max_retries=0,
         )
-        self.live_batch = self.versions.batch_guard(
-            batch_size=self.config.max_batch
-        )
-        self.live_row = self.versions.row_guard()
-        self.guard = ResilientBatchGuard(
-            self.live_batch,
-            policy=self.config.policy,
-            breaker=self.breaker,
-            watchdog_seconds=self.config.watchdog_seconds,
-        )
-        self.row_guard = ResilientRowGuard(
-            self.live_row,
+        self.live_guard = self.versions.guard()
+        self.guard = ResilientGuard(
+            self.live_guard,
             policy=self.config.policy,
             breaker=self.breaker,
             watchdog_seconds=self.config.watchdog_seconds,
@@ -236,13 +227,13 @@ class Tenant:
 
     def attach_drift(self, detector) -> None:
         """Attach a :class:`~repro.resilience.DriftDetector` to the
-        tenant's live row guard so served traffic feeds it — and let
+        tenant's live guard so served checks feed it — and let
         brownout tier 2 widen its 1-in-k sampling under pressure."""
         self.drift = detector
         self._drift_base_sample_every = getattr(
             detector, "sample_every", None
         )
-        self.live_row.attach_drift(detector)
+        self.live_guard.attach_drift(detector)
 
     def effective_mode(self) -> ServeMode:
         """The serve mode in force right now: the configured mode,
@@ -310,7 +301,7 @@ class Tenant:
                 tenant=self.name,
                 kind=kind,
                 request_id=request_id,
-                version=self.live_batch.version,
+                version=self.live_guard.version,
             )
         depth = self.queue.qsize()
         if self.queue.full():
@@ -456,7 +447,7 @@ class Tenant:
                 # keeps draining — it must outlive any single batch.
                 self.emit("serve.flush_error", value=len(batch))
                 outcome = _FlushOutcome(
-                    version=self.live_batch.version,
+                    version=self.live_guard.version,
                     error=f"{type(error).__name__}: {error}",
                 )
                 for pending in batch:
@@ -474,7 +465,7 @@ class Tenant:
         resolve with a typed ERROR.
         """
         now = STEADY_CLOCK.monotonic()
-        version = self.live_batch.version
+        version = self.live_guard.version
         for pending in batch:
             if _deadline_expired(pending.deadline_at, now):
                 outcome = _FlushOutcome(version=version, expired=True)
@@ -496,7 +487,7 @@ class Tenant:
         """
         failed = 0
         now = STEADY_CLOCK.monotonic()
-        version = self.live_batch.version
+        version = self.live_guard.version
         while True:
             try:
                 pending = self.queue.get_nowait()
@@ -515,9 +506,9 @@ class Tenant:
 
     def flush(self, batch: list) -> None:
         """Resolve one micro-batch: vet check/predict rows through the
-        batch kernel in a single pass, repair rectify rows through the
-        row guard, and stamp every outcome with the guardrail version
-        its verdict actually ran under.
+        batch kernel in a single pass, repair rectify rows one by one,
+        and stamp every outcome with the guardrail version its verdict
+        actually ran under.
 
         Requests whose deadline passed while they queued are shed
         *here*, at dequeue, with a typed EXPIRED outcome — the guard
@@ -536,7 +527,7 @@ class Tenant:
                 self._resolve(
                     pending,
                     _FlushOutcome(
-                        version=self.live_batch.version, expired=True
+                        version=self.live_guard.version, expired=True
                     ),
                 )
             else:
@@ -562,14 +553,14 @@ class Tenant:
                 # guard may never have run (open breaker), so stamp the
                 # live version, not the last one a flush ran under.
                 outcome = _FlushOutcome(
-                    version=self.live_batch.version,
+                    version=self.live_guard.version,
                     error=f"{type(error).__name__}: {error}",
                 )
                 self.emit("serve.guard_unavailable", value=len(vet))
                 for pending in vet:
                     self._resolve(pending, outcome)
             else:
-                version = self.live_batch.last_version
+                version = self.live_guard.last_version
                 degraded = stats.failures > failures_before
                 if degraded:
                     metrics.degraded += len(vet)
@@ -605,15 +596,15 @@ class Tenant:
             obs.observe("serve.batch_fill", len(live), tenant=self.name)
 
     def _rectify_one(self, pending) -> None:
-        stats = self.row_guard.stats
+        stats = self.guard.stats
         failures_before = stats.failures
         try:
-            repaired = self.row_guard.rectify(pending.row)
+            repaired = self.guard.rectify(pending.row)
         except GuardUnavailableError as error:
             self._resolve(
                 pending,
                 _FlushOutcome(
-                    version=self.live_row.version,
+                    version=self.live_guard.version,
                     error=f"{type(error).__name__}: {error}",
                 ),
             )
@@ -621,7 +612,7 @@ class Tenant:
         self._resolve(
             pending,
             _FlushOutcome(
-                version=self.live_row.last_version,
+                version=self.live_guard.last_version,
                 row=repaired,
                 degraded=stats.failures > failures_before,
             ),

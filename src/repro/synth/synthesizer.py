@@ -594,25 +594,17 @@ class Guardrail:
 
         return not row_conforms(self.program, row)
 
-    def row_guard(self):
-        """A :class:`repro.errors.RowGuard` over the fitted program.
+    def guard(self):
+        """A :class:`repro.errors.Guard` over the fitted program.
 
-        Per-row hash-probe vetting for one-at-a-time arrival; verdicts
-        match :meth:`check` exactly (canonical Eqn. 1 semantics).
+        Per-row hash probes (``check``) for one-at-a-time arrival and
+        micro-batched kernels (``check_batch``/``stream``) for
+        streaming arrival; verdicts match :meth:`check` exactly
+        (canonical Eqn. 1 semantics).
         """
-        from ..errors import RowGuard
+        from ..errors import Guard
 
-        return RowGuard(self.program)
-
-    def batch_guard(self, batch_size: int = 256):
-        """A :class:`repro.errors.BatchGuard` over the fitted program.
-
-        Micro-batched kernel vetting for streaming arrival; verdicts
-        match :meth:`check` exactly (canonical Eqn. 1 semantics).
-        """
-        from ..errors import BatchGuard
-
-        return BatchGuard(self.program, batch_size=batch_size)
+        return Guard(self.program)
 
     def handle(self, relation: Relation, strategy: str = "rectify", pool=None):
         """Apply an error-handling strategy; see :mod:`repro.errors`.

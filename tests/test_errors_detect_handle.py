@@ -110,6 +110,24 @@ class TestRectify:
         diff = city_relation.rows_differ(outcome.relation)
         assert diff.sum() == 0  # row 0 restored, others untouched
 
+    def test_two_rows_repaired_to_the_same_new_value(self):
+        """Regression: rows rectified to one value the data never held
+        used to crash the codec extension with a duplicate."""
+        from repro.dsl import parse_program
+        from repro.relation import Relation
+
+        program = parse_program("GIVEN a ON b HAVING IF a = 'x' THEN b <- 'y'")
+        relation = Relation.from_rows(
+            [{"a": "x", "b": "z"}, {"a": "x", "b": "z"}, {"a": "w", "b": "z"}]
+        )
+        outcome = apply_strategy(program, relation, "rectify")
+        assert outcome.relation.to_rows() == [
+            {"a": "x", "b": "y"},
+            {"a": "x", "b": "y"},
+            {"a": "w", "b": "z"},
+        ]
+        assert outcome.cells_changed == [(0, "b"), (1, "b")]
+
     def test_changed_cells_reported(self, city_relation, city_program):
         corrupted = city_relation.set_cell(2, "Country", "Narnia")
         outcome = apply_strategy(city_program, corrupted, "rectify")

@@ -1,4 +1,4 @@
-"""Edge-case tests for the streaming guards and GuardStats."""
+"""Edge-case tests for the streaming guard and GuardStats."""
 
 import pytest
 
@@ -10,10 +10,9 @@ from repro.dsl import (
     row_conforms,
 )
 from repro.errors import (
-    BatchGuard,
     DataIntegrityError,
+    Guard,
     GuardStats,
-    RowGuard,
 )
 
 
@@ -42,8 +41,8 @@ def _statement_with_colliding_branches() -> Statement:
 
 class TestEmptyProgram:
     @pytest.fixture
-    def guard(self) -> RowGuard:
-        return RowGuard(Program.empty())
+    def guard(self) -> Guard:
+        return Guard(Program.empty())
 
     def test_any_row_passes(self, guard):
         assert guard.check({"x": 1, "y": "anything"}).ok
@@ -67,7 +66,7 @@ class TestEmptyProgram:
 
 class TestMissingDeterminant:
     def test_row_without_determinant_is_uncovered(self, city_program):
-        guard = RowGuard(city_program)
+        guard = Guard(city_program)
         # No PostalCode ⇒ the City statement warrants nothing; the
         # chain below it still applies.
         verdict = guard.check(
@@ -78,7 +77,7 @@ class TestMissingDeterminant:
     def test_missing_determinant_does_not_mask_downstream(
         self, city_program
     ):
-        guard = RowGuard(city_program)
+        guard = Guard(city_program)
         verdict = guard.check(
             {"City": "Berkeley", "State": "TX", "Country": "USA"}
         )
@@ -86,7 +85,7 @@ class TestMissingDeterminant:
         assert ("State", "CA") in verdict.violations
 
     def test_missing_dependent_counts_as_violation(self, city_program):
-        guard = RowGuard(city_program)
+        guard = Guard(city_program)
         verdict = guard.check({"PostalCode": "94704"})
         assert not verdict.ok
         assert ("City", "Berkeley") in verdict.violations
@@ -101,7 +100,7 @@ class TestRectifyMultiStatementConflict:
         Berkeley) — so exactly the corrupted cell is implicated, not the
         correct cells downstream of it.
         """
-        guard = RowGuard(city_program)
+        guard = Guard(city_program)
         row = {
             "PostalCode": "94704",
             "City": "NewYork",  # corrupted determinant mid-chain
@@ -116,7 +115,7 @@ class TestRectifyMultiStatementConflict:
         assert guard.stats.rows_rectified == 1
 
     def test_rectify_clean_row_is_noop(self, city_program):
-        guard = RowGuard(city_program)
+        guard = Guard(city_program)
         row = {
             "PostalCode": "10001",
             "City": "NewYork",
@@ -132,7 +131,7 @@ class TestGuardStats:
         assert GuardStats().violation_rate == 0.0
 
     def test_violation_rate(self, city_program):
-        guard = RowGuard(city_program)
+        guard = Guard(city_program)
         clean = {
             "PostalCode": "94704",
             "City": "Berkeley",
@@ -145,7 +144,7 @@ class TestGuardStats:
         assert guard.stats.violations_by_attribute == {"City": 1}
 
     def test_process_strategies(self, city_program):
-        guard = RowGuard(city_program)
+        guard = Guard(city_program)
         bad = {"PostalCode": "94704", "City": "wrong"}
         with pytest.raises(DataIntegrityError):
             guard.process(bad, "raise")
@@ -159,7 +158,7 @@ class TestBranchCollision:
 
     def test_rowguard_first_match_wins(self):
         program = Program((_statement_with_colliding_branches(),))
-        guard = RowGuard(program)
+        guard = Guard(program)
         # Before the setdefault fix, compiling the lookup table let the
         # *last* colliding branch overwrite the first.
         assert guard.check({"a": "x", "b": "first"}).ok
@@ -169,7 +168,7 @@ class TestBranchCollision:
 
     def test_batchguard_first_match_wins(self):
         program = Program((_statement_with_colliding_branches(),))
-        guard = BatchGuard(program)
+        guard = Guard(program)
         verdicts = guard.check_batch(
             [{"a": "x", "b": "first"}, {"a": "x", "b": "second"}]
         )
@@ -178,7 +177,7 @@ class TestBranchCollision:
 
 
 class TestStateThreading:
-    """RowGuard/BatchGuard must thread writes across statements."""
+    """Guard.check/check_batch must thread writes across statements."""
 
     @pytest.fixture
     def chain(self) -> Program:
@@ -199,26 +198,24 @@ class TestStateThreading:
         # 2 must judge c against the *threaded* b1 (expect c1), not
         # against the observed 'bad' (which would expect c9).
         row = {"a": "a1", "b": "bad", "c": "c1"}
-        for guard in (RowGuard(chain), BatchGuard(chain)):
-            verdict = guard.check(row)
+        guard = Guard(chain)
+        for verdict in (guard.check(row), guard.check_batch([row])[0]):
             assert not verdict.ok
             assert verdict.violations == (("b", "b1"),)
 
     def test_threaded_write_can_flag_downstream(self, chain):
         # The threaded b1 makes statement 2 fire: c must become c1.
         row = {"a": "a1", "b": "bad", "c": "c9"}
-        for guard in (RowGuard(chain), BatchGuard(chain)):
-            verdict = guard.check(row)
+        guard = Guard(chain)
+        for verdict in (guard.check(row), guard.check_batch([row])[0]):
             assert set(verdict.violations) == {("b", "b1"), ("c", "c1")}
 
 
 class TestBatchGuard:
     def test_matches_rowguard_on_fixtures(self, city_program, city_relation):
-        row_guard = RowGuard(city_program)
-        batch_guard = BatchGuard(city_program)
         rows = [city_relation.row(i) for i in range(city_relation.n_rows)]
-        singles = [row_guard.check(r) for r in rows]
-        batched = batch_guard.check_batch(rows)
+        singles = [Guard(city_program).check(r) for r in rows]
+        batched = Guard(city_program).check_batch(rows)
         assert [v.ok for v in singles] == [v.ok for v in batched]
         assert [v.violations for v in singles] == [
             v.violations for v in batched
@@ -226,11 +223,11 @@ class TestBatchGuard:
 
     def test_stream_micro_batches(self, city_program, city_relation):
         rows = [city_relation.row(i) for i in range(city_relation.n_rows)]
-        guard = BatchGuard(city_program, batch_size=7)
-        streamed = list(guard.stream(rows))
+        guard = Guard(city_program)
+        streamed = list(guard.stream(rows, batch_size=7))
         assert len(streamed) == len(rows)
         assert [v.ok for v in streamed] == [
-            v.ok for v in BatchGuard(city_program).check_batch(rows)
+            v.ok for v in Guard(city_program).check_batch(rows)
         ]
         assert guard.stats.rows_checked == len(rows)
 
@@ -239,18 +236,19 @@ class TestBatchGuard:
     ):
         from repro.errors import detect_errors
 
-        mask = BatchGuard(city_program).check_relation(city_relation)
+        mask = Guard(city_program).check_relation(city_relation)
         expected = detect_errors(city_program, city_relation).row_mask
         assert (mask == expected).all()
 
     def test_empty_batch_and_empty_program(self):
-        assert BatchGuard(Program.empty()).check_batch([]) == []
-        assert BatchGuard(Program.empty()).check({"x": 1}).ok
+        assert Guard(Program.empty()).check_batch([]) == []
+        assert Guard(Program.empty()).check_batch([{"x": 1}])[0].ok
 
     def test_rejects_bad_batch_size(self, city_program):
         with pytest.raises(ValueError):
-            BatchGuard(city_program, batch_size=0)
+            list(Guard(city_program).stream([{}], batch_size=0))
 
     def test_unseen_values_are_uncovered(self, city_program):
-        guard = BatchGuard(city_program)
-        assert guard.check({"PostalCode": "00000", "City": "Atlantis"}).ok
+        guard = Guard(city_program)
+        row = {"PostalCode": "00000", "City": "Atlantis"}
+        assert guard.check_batch([row])[0].ok

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro import obs
-from repro.errors import RowGuard
+from repro.errors import Guard
 
 
 class TestSpans:
@@ -209,7 +209,7 @@ class TestInstrumentation:
         assert "pgm.mec.dags_enumerated" in counters
 
     def test_row_guard_emits_verdicts(self, city_program):
-        guard = RowGuard(city_program)
+        guard = Guard(city_program)
         clean = {
             "PostalCode": "94704",
             "City": "Berkeley",
@@ -232,6 +232,31 @@ class TestInstrumentation:
         latencies = obs.aggregate_histograms(sink.events)
         assert len(latencies["guard.check_seconds"]) == 2
 
+    def test_batch_latency_sample_with_drift_attached(self, city_program):
+        """Regression: the batch drift countdown reused the timer's start
+        variable, so a traced 64-row batch recorded hundreds of seconds."""
+
+        class Recorder:
+            sample_every = 1
+
+            def __init__(self):
+                self.rows = 0
+
+            def ingest_many(self, rows, oks):
+                self.rows += len(rows)
+
+        guard = Guard(city_program)
+        detector = Recorder()
+        guard.attach_drift(detector)
+        row = {"PostalCode": "94704", "City": "Berkeley"}
+        with obs.tracing() as sink:
+            guard.check_batch([row] * 64)
+        (seconds,) = obs.aggregate_histograms(sink.events)[
+            "guard.batch_seconds"
+        ]
+        assert 0.0 <= seconds < 1.0
+        assert detector.rows == 64
+
     def test_detect_errors_span(self, city_program, city_relation):
         from repro.errors import detect_errors
 
@@ -244,7 +269,7 @@ class TestInstrumentation:
         assert span_event["attrs"]["n_rows"] == city_relation.n_rows
 
     def test_untraced_behaviour_unchanged(self, city_program):
-        guard = RowGuard(city_program)
+        guard = Guard(city_program)
         verdict = guard.check({"PostalCode": "94704", "City": "wrong"})
         assert not verdict.ok
         assert guard.stats.rows_checked == 1

@@ -51,6 +51,12 @@ class TestCodec:
         # Old codes stay stable.
         assert extended.encode_one("a") == codec.encode_one("a")
 
+    def test_extend_appends_repeated_new_values_once(self):
+        # Regression: a repeat among the new values used to reach the
+        # Codec constructor and raise "duplicate categorical value".
+        extended = Codec(["a"]).extend(["y", "b", "y", "b"])
+        assert extended.values == ("a", "y", "b")
+
     def test_extend_noop_returns_self(self):
         codec = Codec(["a", "b"])
         assert codec.extend(["a"]) is codec

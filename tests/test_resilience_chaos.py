@@ -53,7 +53,7 @@ class TestChaosFixture:
         from repro.synth import Guardrail
 
         relation = chaos_relation()
-        guard = Guardrail.from_program(chaos_program()).batch_guard()
+        guard = Guardrail.from_program(chaos_program()).guard()
         # check_relation returns a row-violation mask: clean data is
         # all-False.
         assert not guard.check_relation(relation).any()

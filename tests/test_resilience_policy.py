@@ -11,8 +11,7 @@ from repro.resilience import (
     CircuitOpenError,
     GuardPolicy,
     GuardUnavailableError,
-    ResilientBatchGuard,
-    ResilientRowGuard,
+    ResilientGuard,
     resilient_call,
 )
 from repro.synth import Guardrail
@@ -152,14 +151,15 @@ def guardrail(city_program) -> Guardrail:
 
 
 def _wrappers(guardrail, policy):
-    """A (row, batch) pair of resilient wrappers under one policy."""
+    """Two resilient wrappers under one policy and one breaker: the
+    first for the row path, the second for the batch path."""
     kwargs = dict(
         policy=policy,
         breaker=CircuitBreaker(failure_threshold=10_000, max_retries=0),
     )
     return (
-        ResilientRowGuard(guardrail.row_guard(), **kwargs),
-        ResilientBatchGuard(guardrail.batch_guard(batch_size=3), **kwargs),
+        ResilientGuard(guardrail.guard(), **kwargs),
+        ResilientGuard(guardrail.guard(), **kwargs),
     )
 
 
@@ -181,9 +181,9 @@ _ADVERSARIAL = [
 
 
 class TestAdversarialGuardParity:
-    """Satellite: RowGuard vs BatchGuard on adversarial inputs.
+    """Satellite: the row path vs the batch path on adversarial inputs.
 
-    Under every policy the two wrappers must give the same per-row
+    Under every policy the two paths must give the same per-row
     verdicts, every row must get a verdict, and unvettable rows must
     take exactly the policy's degraded verdict.
     """
@@ -243,7 +243,7 @@ class TestAdversarialGuardParity:
                 raise RuntimeError("chaos: repair kernel down")
 
         def wrap(policy):
-            return ResilientRowGuard(_ExplodingGuard(), policy=policy)
+            return ResilientGuard(_ExplodingGuard(), policy=policy)
 
         row = {"PostalCode": "94704", "City": "Berkeley"}
         # Fail open: the row comes back unrepaired (best effort).
@@ -264,8 +264,8 @@ class TestAdversarialGuardParity:
                 time.sleep(0.005)
                 return self._inner.check(row)
 
-        guard = ResilientRowGuard(
-            _SlowGuard(guardrail.row_guard()),
+        guard = ResilientGuard(
+            _SlowGuard(guardrail.guard()),
             policy="warn",
             breaker=breaker,
             watchdog_seconds=0.001,

@@ -1,7 +1,7 @@
 """Recovery layer: quarantine, versioned hot-swap, live guard proxies.
 
 Streaming edge cases from the self-healing PR: an empty batch through
-:class:`ResilientBatchGuard`, quarantine-buffer overflow policies, and
+:class:`ResilientGuard`, quarantine-buffer overflow policies, and
 row/batch verdict parity while a hot-swap is in flight.
 """
 
@@ -13,7 +13,7 @@ from repro.resilience import (
     GuardPolicy,
     GuardrailVersions,
     QuarantineBuffer,
-    ResilientBatchGuard,
+    ResilientGuard,
     SupervisorConfig,
 )
 from repro.synth import Guardrail
@@ -135,7 +135,7 @@ class TestGuardrailVersions:
 class TestLiveGuards:
     def test_row_guard_follows_hot_swap(self, city_program):
         versions = GuardrailVersions(Guardrail.from_program(city_program))
-        live = versions.row_guard()
+        live = versions.guard()
         assert live.check(_ok_row()).ok
         versions.swap(Guardrail.from_program(_oakland_program()))
         assert live.version == 2
@@ -143,7 +143,7 @@ class TestLiveGuards:
 
     def test_batch_guard_follows_hot_swap(self, city_program):
         versions = GuardrailVersions(Guardrail.from_program(city_program))
-        live = versions.batch_guard(batch_size=4)
+        live = versions.guard()
         assert all(v.ok for v in live.check_batch([_ok_row()] * 3))
         versions.swap(Guardrail.from_program(_oakland_program()))
         assert not any(v.ok for v in live.check_batch([_ok_row()] * 3))
@@ -152,8 +152,8 @@ class TestLiveGuards:
         """Swapping between batches must keep row/batch verdicts equal."""
         versions_a = GuardrailVersions(Guardrail.from_program(city_program))
         versions_b = GuardrailVersions(Guardrail.from_program(city_program))
-        row_live = versions_a.row_guard()
-        batch_live = versions_b.batch_guard(batch_size=4)
+        row_live = versions_a.guard()
+        batch_live = versions_b.guard()
         rows = [_ok_row() if i % 3 else _bad_row() for i in range(8)]
         # Drive both guards through the same swap schedule: first four
         # rows under v1, swap, last four under v2.
@@ -172,7 +172,7 @@ class TestLiveGuards:
 
     def test_batch_stream_picks_up_swap_at_boundary(self, city_program):
         versions = GuardrailVersions(Guardrail.from_program(city_program))
-        live = versions.batch_guard(batch_size=2)
+        live = versions.guard()
 
         def rows():
             yield _ok_row()
@@ -182,7 +182,7 @@ class TestLiveGuards:
             yield _ok_row()
             yield _ok_row()
 
-        verdicts = list(live.stream(rows()))
+        verdicts = list(live.stream(rows(), batch_size=2))
         assert [v.ok for v in verdicts] == [True, True, False, False]
 
     def test_drift_detector_survives_rebuild(self, city_program):
@@ -196,7 +196,7 @@ class TestLiveGuards:
                 self.seen.append(ok)
 
         versions = GuardrailVersions(Guardrail.from_program(city_program))
-        live = versions.row_guard()
+        live = versions.guard()
         detector = Recorder()
         live.attach_drift(detector)
         live.check(_ok_row())
@@ -208,19 +208,19 @@ class TestLiveGuards:
 
 class TestResilientEdgeCases:
     def test_empty_batch_yields_no_verdicts(self, city_program):
-        guard = ResilientBatchGuard(
-            Guardrail.from_program(city_program).batch_guard(batch_size=4),
+        guard = ResilientGuard(
+            Guardrail.from_program(city_program).guard(),
             policy=GuardPolicy.WARN,
         )
         assert guard.check_batch([]) == []
-        assert list(guard.stream([])) == []
-        assert list(guard.stream(iter([]))) == []
+        assert list(guard.stream([], batch_size=4)) == []
+        assert list(guard.stream(iter([]), batch_size=4)) == []
 
     def test_empty_batch_through_live_guard(self, city_program):
         versions = GuardrailVersions(Guardrail.from_program(city_program))
-        live = versions.batch_guard(batch_size=4)
+        live = versions.guard()
         assert live.check_batch([]) == []
-        assert list(live.stream([])) == []
+        assert list(live.stream([], batch_size=4)) == []
 
     def test_supervisor_config_validation(self):
         with pytest.raises(ValueError, match="holdout_every"):

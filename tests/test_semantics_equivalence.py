@@ -7,12 +7,16 @@ included) must produce identical verdicts from:
 * :func:`repro.dsl.row_conforms` (the reference row semantics),
 * :func:`repro.dsl.program_violations` (vectorized),
 * :func:`repro.errors.detect_errors` (compiled kernels),
-* :class:`repro.errors.RowGuard` (hash-probe streaming),
-* :class:`repro.errors.BatchGuard` (micro-batched kernels).
+* every entry point of the streaming guard: :meth:`repro.errors.Guard.check`
+  (hash probes), :meth:`~repro.errors.Guard.check_batch` at several
+  batch sizes and :meth:`~repro.errors.Guard.stream` (micro-batched
+  kernels), and the same calls through :class:`repro.resilience.LiveGuard`
+  and :class:`repro.resilience.ResilientGuard`.
 
 Any divergence — all-branches vs first-match, branch-local vs threaded
 reads, sentinel aliasing of unseen literals — shows up here as a
-disagreeing row.
+disagreeing row.  Per-row repair is pinned too: ``Guard.rectify`` must
+return the row the relation-level rectify strategy produces.
 """
 
 import numpy as np
@@ -28,8 +32,15 @@ from repro.dsl import (
     program_violations,
     row_conforms,
 )
-from repro.errors import BatchGuard, RowGuard, detect_errors
+from repro.errors import Guard, apply_strategy, detect_errors
 from repro.relation import Relation
+from repro.resilience import (
+    CircuitBreaker,
+    GuardrailVersions,
+    LiveGuard,
+    ResilientGuard,
+)
+from repro.synth import Guardrail
 
 N_CASES = 220
 
@@ -94,6 +105,42 @@ def _random_case(rng: np.random.Generator):
     return Program(tuple(statements)), relation
 
 
+def _batched(check_batch, rows, size):
+    """``check_batch`` over consecutive slices of ``size`` rows."""
+    return [
+        verdict
+        for start in range(0, len(rows), size)
+        for verdict in check_batch(rows[start : start + size])
+    ]
+
+
+def _guard_paths(program: Program, rows: list) -> dict[str, list]:
+    """Every guard entry point's verdicts over ``rows``, by path name."""
+    guard = Guard(program)
+    live = LiveGuard(GuardrailVersions(Guardrail.from_program(program)))
+    resilient = ResilientGuard(
+        Guard(program),
+        policy="strict",
+        breaker=CircuitBreaker(max_retries=0),
+    )
+    paths = {
+        "Guard.check": [guard.check(row) for row in rows],
+        "Guard.stream": list(
+            guard.stream(rows, batch_size=max(1, len(rows) // 3))
+        ),
+        "LiveGuard.check": [live.check(row) for row in rows],
+        "LiveGuard.stream": list(live.stream(rows, batch_size=16)),
+        "ResilientGuard.check": [resilient.check(row) for row in rows],
+        "ResilientGuard.check_batch": resilient.check_batch(rows),
+    }
+    for size in (1, 16, 64):
+        paths[f"Guard.check_batch[{size}]"] = _batched(
+            guard.check_batch, rows, size
+        )
+    assert resilient.stats.failures == 0
+    return paths
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_all_paths_agree_on_random_programs(seed):
     rng = np.random.default_rng(1000 + seed)
@@ -106,31 +153,36 @@ def test_all_paths_agree_on_random_programs(seed):
         vector = program_violations(program, relation)
         detection = detect_errors(program, relation)
         kernel = compiled_for(program, relation).detect(relation)
-        row_guard = RowGuard(program)
-        single = [row_guard.check(row) for row in rows]
-        batch_guard = BatchGuard(
-            program, batch_size=max(1, relation.n_rows // 3)
-        )
-        batched = list(batch_guard.stream(rows))
 
         context = f"seed={seed} case={case} program={program!r}"
         assert list(vector) == reference, context
         assert list(detection.row_mask) == reference, context
         assert list(kernel.row_mask) == reference, context
-        assert [not v.ok for v in single] == reference, context
-        assert [not v.ok for v in batched] == reference, context
 
         # The implicated (attribute, expected) cells must agree between
-        # the detection path and both guards, row by row.
+        # the detection path and every guard path, row by row.
         by_row: dict[int, set] = {}
         for violation in detection.violations:
             by_row.setdefault(violation.row, set()).add(
                 (violation.attribute, violation.expected)
             )
-        for index in range(relation.n_rows):
-            expected_cells = by_row.get(index, set())
-            assert set(single[index].violations) == expected_cells, context
-            assert set(batched[index].violations) == expected_cells, context
+        expected_cells = [
+            by_row.get(index, set()) for index in range(relation.n_rows)
+        ]
+        for path, verdicts in _guard_paths(program, rows).items():
+            where = f"{path}: {context}"
+            assert [not v.ok for v in verdicts] == reference, where
+            assert [set(v.violations) for v in verdicts] == (
+                expected_cells
+            ), where
+
+        # Per-row repair equals the relation-level rectify strategy.
+        rectified = apply_strategy(program, relation, "rectify").relation
+        guard = Guard(program)
+        for index, row in enumerate(rows):
+            assert guard.rectify(row) == rectified.row(index), (
+                f"rectify row {index}: {context}"
+            )
 
 
 def test_case_generator_is_exercised():

@@ -1,7 +1,7 @@
 """Unit tests for the asyncio multi-tenant guard service.
 
 Covers the service semantics the serve PR promises: micro-batched
-verdicts bit-identical to direct serial ``BatchGuard.check_batch``,
+verdicts bit-identical to direct serial ``Guard.check_batch``,
 blocking vs parallel predict modes, typed backpressure rejections,
 per-tenant degradation policies, hot-swap under traffic, and the
 per-tenant metrics/obs surface.
@@ -13,7 +13,7 @@ import pytest
 
 from repro import obs
 from repro.dsl import Branch, Condition, Program, Statement
-from repro.errors import BatchGuard
+from repro.errors import Guard
 from repro.resilience import GuardrailVersions
 from repro.serve import (
     GuardServer,
@@ -220,9 +220,9 @@ class TestSupervisionAndDrain:
 class TestBatchedVerdictParity:
     async def test_verdicts_match_direct_serial_batch_guard(self):
         """Micro-batched service verdicts are bit-identical to a
-        direct serial BatchGuard.check_batch over the same rows."""
+        direct serial Guard.check_batch over the same rows."""
         rows = _rows(96)
-        reference = BatchGuard(_program()).check_batch(rows)
+        reference = Guard(_program()).check_batch(rows)
         for mode in ("blocking", "parallel"):
             server = GuardServer()
             server.register(
@@ -379,10 +379,7 @@ class TestDegradation:
             self.config = guardrail.config
             self._result = None
 
-        def batch_guard(self, batch_size=256):
-            raise RuntimeError("kernel exploded")
-
-        def row_guard(self):
+        def guard(self):
             raise RuntimeError("kernel exploded")
 
     def _bombed_versions(self) -> GuardrailVersions:
@@ -545,8 +542,8 @@ class TestHotSwap:
         it reports — across a mid-traffic hot-swap."""
         rows = _rows(256)
         references = {
-            1: BatchGuard(_program("Berkeley")).check_batch(rows),
-            2: BatchGuard(_program("Oakland")).check_batch(rows),
+            1: Guard(_program("Berkeley")).check_batch(rows),
+            2: Guard(_program("Oakland")).check_batch(rows),
         }
         server = GuardServer()
         server.register(
@@ -638,3 +635,30 @@ class TestMetricsAndObs:
         with obs.tracing(sink):
             server.publish_metrics()
         assert len(list(sink.events)) == before
+
+
+class TestDriftWiring:
+    async def test_served_checks_reach_the_drift_detector(self):
+        """Regression: the tenant's detector used to sit on a proxy that
+        served only rectify (which never feeds drift), so served
+        checks never reached it."""
+        from repro.relation import Relation
+        from repro.resilience import DriftDetector
+
+        server = GuardServer()
+        server.register("a", _guardrail(), TenantConfig(max_wait_ms=0.5))
+        detector = DriftDetector(
+            Relation.from_rows(_rows(30)),
+            window=64,
+            min_window=1,
+            sample_every=1,
+        )
+        server.tenant("a").attach_drift(detector)
+        async with server:
+            for row in _rows(200):
+                assert (await server.check("a", row)).ok
+            for row in _rows(10):
+                assert (await server.rectify("a", row)).ok
+        detector.flush()
+        # Every served check, and nothing else, was sampled.
+        assert detector.stats.rows_observed == 200

@@ -17,7 +17,7 @@ import signal
 import pytest
 
 from repro.dsl import Branch, Condition, Program, Statement, format_program
-from repro.errors import BatchGuard
+from repro.errors import Guard
 from repro.parallel import fork_available
 from repro.resilience import (
     DurabilityError,
@@ -140,7 +140,7 @@ class TestRecovery:
             replayed = await asyncio.gather(
                 *(recovered.check("acme", row) for row in rows)
             )
-        reference = BatchGuard(_program("Oakland")).check_batch(rows)
+        reference = Guard(_program("Oakland")).check_batch(rows)
         for before, after, expected in zip(originals, replayed, reference):
             assert before.verdict == after.verdict == expected
             assert before.version == after.version == 2
@@ -306,7 +306,7 @@ class TestKillAndRestart:
         # judges exactly as a from-scratch guardrail at that version.
         live_version = tenant.versions.version
         rows = _rows(12)
-        reference = BatchGuard(_program(f"V{live_version}")).check_batch(rows)
+        reference = Guard(_program(f"V{live_version}")).check_batch(rows)
 
         async def replay():
             async with server:

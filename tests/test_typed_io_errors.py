@@ -154,7 +154,7 @@ class TestHotSwapLoadError:
             "State": "CA",
             "Country": "USA",
         }
-        assert versions.row_guard().check(row).ok
+        assert versions.guard().check(row).ok
 
     def test_swap_from_missing_file(self, tmp_path, city_program):
         versions = self._versions(city_program)
@@ -295,7 +295,7 @@ class TestAtomicGuardrailSave:
             "State": "CA",
             "Country": "USA",
         }
-        assert versions.row_guard().check(row).ok
+        assert versions.guard().check(row).ok
 
     def test_checkpoint_save_is_atomic_too(self, tmp_path):
         from repro.synth.checkpoint import SynthesisCheckpoint
