@@ -8,14 +8,17 @@ backtracking search:
 1. pick an undirected edge,
 2. try both orientations, discarding those that create a directed cycle
    or a new unshielded collider,
-3. close under Meek's rules (forced orientations; contradictions prune
-   the branch), and
+3. close under Meek's rules (forced orientations; contradictions, and
+   directed cycles the closure forms, prune the branch), and
 4. at each fully directed leaf, verify class membership by recomputing
    the CPDAG (the definitional check — cheap at the scale we run).
 
 Each branch fixes one edge's direction differently, so leaves are
 distinct; the leaf check makes the procedure correct even if the Meek
-closure were incomplete.
+closure were incomplete.  Orienting and closing only ever add directed
+edges, so a cycle never goes away: a branch with a cyclic directed part
+(or a cyclic input pattern, which noisy PC output can be) has no DAG
+below it, and cutting it early yields the same DAGs in the same order.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from .. import obs
-from .dag import DAG, GraphError
+from .dag import DAG
 from .pdag import PDAG, OrientationConflict, cpdag_from_dag
 
 
@@ -51,7 +54,8 @@ def enumerate_mec(
         search-node expansion.  Exhaustion prunes the remaining search
         — but only after at least one DAG has been produced, so a
         budgeted caller is still guaranteed a candidate whenever the
-        class is non-empty.
+        class is non-empty.  Branches cut for a directed cycle are
+        never expanded, so they charge no ``mec.expansion`` steps.
     """
     produced = 0
 
@@ -65,10 +69,7 @@ def enumerate_mec(
                 return
         undirected = pdag.undirected_edges()
         if not undirected:
-            try:
-                dag = pdag.to_dag()
-            except GraphError:
-                return  # the pattern itself was cyclic (noisy PC output)
+            dag = pdag.to_dag()
             if not verify_leaves or cpdag_from_dag(dag) == cpdag:
                 produced += 1
                 yield dag
@@ -83,15 +84,19 @@ def enumerate_mec(
                 candidate.apply_meek_rules()
             except OrientationConflict:
                 continue
+            if candidate.has_directed_cycle():
+                continue
             yield from recurse(candidate)
 
+    root = cpdag.copy()
+    search = iter(()) if root.has_directed_cycle() else recurse(root)
     if not obs.enabled():
-        yield from recurse(cpdag.copy())
+        yield from search
         return
     # Traced path: report how many class members the search produced
     # (and count them even when the consumer stops early).
     try:
-        yield from recurse(cpdag.copy())
+        yield from search
     finally:
         obs.count("pgm.mec.dags_enumerated", produced)
 

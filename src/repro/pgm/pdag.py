@@ -151,6 +151,24 @@ class PDAG:
                     frontier.append(child)
         return False
 
+    def has_directed_cycle(self) -> bool:
+        """Does the directed part contain a directed cycle?"""
+        # Kahn's algorithm: peel off nodes with no remaining in-edges; a
+        # node still waiting at the end sits on (or below) a cycle.
+        children: dict[str, list[str]] = {}
+        waiting: dict[str, int] = {}
+        for u, v in self._directed:
+            children.setdefault(u, []).append(v)
+            waiting[v] = waiting.get(v, 0) + 1
+        ready = [u for u in children if u not in waiting]
+        while ready:
+            for v in children.get(ready.pop(), ()):
+                waiting[v] -= 1
+                if not waiting[v]:
+                    del waiting[v]
+                    ready.append(v)
+        return bool(waiting)
+
     def creates_new_v_structure(self, u: str, v: str) -> bool:
         """Would orienting ``u -> v`` create an unshielded collider at v?"""
         return any(not self.adjacent(w, u) for w in self.parents(v) if w != u)

@@ -57,15 +57,9 @@ class SketchJudge:
         if key in self._compound_cache:
             return self._compound_cache[key]
         name = "&".join(key)
-        columns = [
-            self._tester._codes[:, self._tester._positions[a]] for a in key
-        ]
-        composite = compound_codes(columns)
-        self._tester._codes = np.column_stack(
-            [self._tester._codes, composite]
+        self._tester.add_column(
+            name, compound_codes([self._tester.column(a) for a in key])
         )
-        self._tester._positions[name] = self._tester._codes.shape[1] - 1
-        self._tester._names.append(name)
         self._compound_cache[key] = name
         return name
 

@@ -1,0 +1,48 @@
+"""Contract test: synthesis still produces the benchmark's pinned programs.
+
+``perfbench/synth_bench.py`` synthesizes four relabelled dataset twins
+and checks each program, mapped back to the original labels, against the
+digest pinned in ``perfbench/pins.json``.  That check runs only inside
+the benchmark; this test runs it at seed 1 with the benchmark's own
+config, and also pins the work each twin costs (CI tests run, DAGs
+enumerated), so a change that moves a CI verdict or the MEC search fails
+here and not only in the benchmark's oracle.  The test only reads
+``perfbench/``.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from repro.synth import synthesize
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+WORK = {
+    "Telco Customer Churn": (969, 8),
+    "Phishing Websites": (772, 8),
+    "Cylinder Bands": (964, 1),
+    "Jungle Chess": (41, 10),
+}
+"""Per twin: ``(n_ci_tests, n_dags_enumerated)`` of one synthesis."""
+
+
+@pytest.fixture(scope="module")
+def synth_bench():
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(str(PERFBENCH))
+        import synth_bench
+
+        yield synth_bench
+
+
+def test_twins_synthesize_the_pinned_programs(synth_bench):
+    pins = json.loads((PERFBENCH / "pins.json").read_text())["synth-suite"]
+    assert [name for name, _ in synth_bench.TWINS] == list(WORK)
+    for name, relation, back in synth_bench.twin_inputs(1):
+        result = synthesize(relation, synth_bench.CONFIG)
+        text = synth_bench.original_text(result.program, back)
+        assert synth_bench.digest(text) == pins[name], name
+        work = (result.pc_result.n_ci_tests, result.n_dags_enumerated)
+        assert work == WORK[name], name

@@ -139,14 +139,15 @@ class TestBudgetedSubsystems:
     ):
         """Acceptance: a dense SEM under a tight deadline yields a valid
         partial program within 2x the deadline."""
-        deadline = 0.25
+        config = GuardrailConfig(epsilon=0.05, max_condition_size=2)
+        # The deadline is a quarter of an unbudgeted run on this machine,
+        # so the budgeted run must truncate however fast synthesis gets.
+        start = time.perf_counter()
+        synthesize(dense_relation, config)
+        deadline = (time.perf_counter() - start) / 4
         budget = Budget(seconds=deadline)
         start = time.perf_counter()
-        result = synthesize(
-            dense_relation,
-            GuardrailConfig(epsilon=0.05, max_condition_size=2),
-            budget=budget,
-        )
+        result = synthesize(dense_relation, config, budget=budget)
         elapsed = time.perf_counter() - start
         # One unit of work may straddle the deadline; 2x is the contract
         # (plus slack for a slow CI box).
