@@ -25,6 +25,8 @@ import pytest
 
 from conftest import banner
 from repro.pgm import DAG, random_sem, sem_to_program
+from repro.resilience.chaos import _sabotaged_guardrail
+from repro.resilience.chaos_serve import _ClosedLoop, _open_loop
 from repro.serve import GuardServer, ServeStatus, TenantConfig
 from repro.synth import Guardrail
 
@@ -233,59 +235,15 @@ def test_durable_serve_overhead_within_bound(workload, tmp_path):
     )
 
 
-async def _storm(server: GuardServer, rows, total: int, duration: float):
-    """Open-loop arrivals: ``total`` requests over ``duration`` seconds
-    regardless of completions (the arrival process a shedding server
-    actually faces).  Returns the settled responses and elapsed time
-    from first submission to last resolution."""
-    futures = []
-    ticks = 40
-    sent = 0
-    start = time.perf_counter()
-    for tick in range(ticks):
-        quota = (total * (tick + 1)) // ticks
-        while sent < quota:
-            futures.append(
-                asyncio.ensure_future(
-                    server.check("tenant-0", rows[sent % len(rows)])
-                )
-            )
-            sent += 1
-        await asyncio.sleep(duration / ticks)
-    responses = await asyncio.gather(*futures)
-    return responses, time.perf_counter() - start
-
-
-def _throttled_guardrail(program, delay_s: float):
-    """A correct guardrail whose guard sleeps ``delay_s`` per call.
-
-    The raw guardrail clears ~20k req/s — far more than an in-process
-    open-loop driver can offer at 10x, so a storm against it measures
-    driver CPU, not shedding.  Throttling makes capacity small and
-    the 10x arrival process real."""
-
-    class _Throttled:
-        def __init__(self, inner):
-            self._inner = inner
-
-        def check_batch(self, batch):
-            time.sleep(delay_s)
-            return self._inner.check_batch(batch)
-
-        def rectify(self, row):
-            time.sleep(delay_s)
-            return self._inner.rectify(row)
-
-    class _ThrottledGuardrail(Guardrail):
-        def guard(self):
-            return _Throttled(super().guard())
-
-    return _ThrottledGuardrail.from_program(program)
-
-
 def _measure_overload(program, rows) -> dict:
     """Calibrate single-tenant capacity, then storm the same config at
-    1x/4x/10x offered load and record goodput + admitted-request p95."""
+    1x/4x/10x offered load and record goodput + admitted-request p95.
+
+    The drivers and the throttled guard are the chaos harness's: the
+    raw guardrail clears ~20k req/s — far more than an in-process
+    open-loop driver can offer at 10x, so a storm against it measures
+    driver CPU, not shedding.  A guard sleeping 8 ms per call makes
+    capacity small and the 10x arrival process real."""
 
     from repro.resilience import BrownoutConfig
 
@@ -300,7 +258,7 @@ def _measure_overload(program, rows) -> dict:
         )
         fresh.register(
             "tenant-0",
-            _throttled_guardrail(program, 0.008),
+            _sabotaged_guardrail(program, delay_s=0.008),
             TenantConfig(
                 max_batch=8,
                 max_wait_ms=2.0,
@@ -311,33 +269,18 @@ def _measure_overload(program, rows) -> dict:
         return fresh
 
     async def calibrate() -> float:
-        # Cold closed loop with max_batch concurrent clients (so
+        # Cold closed loop with max_batch (8) concurrent clients (so
         # batches fill).  Best of two runs: a single short sample is
         # noisy enough to distort every storm multiplier downstream.
         async def once() -> float:
             closed = server()
             async with closed:
+                clients = _ClosedLoop(closed, ("tenant-0",), rows)
                 start = time.perf_counter()
-                completed = await _drive_single(closed, rows, 8, 10)
-                return completed / (time.perf_counter() - start)
+                await clients.drive(10)
+                return len(clients.log) / (time.perf_counter() - start)
 
         return max(await once(), await once())
-
-    async def _drive_single(srv, pool, clients, requests) -> int:
-        async def client(cid: int) -> int:
-            done = 0
-            for j in range(requests):
-                row = pool[(cid * requests + j) % len(pool)]
-                response = await srv.check("tenant-0", row)
-                while response.status is ServeStatus.REJECTED:
-                    await asyncio.sleep(response.retry_after)
-                    response = await srv.check("tenant-0", row)
-                done += 1
-            return done
-
-        return sum(
-            await asyncio.gather(*(client(c) for c in range(clients)))
-        )
 
     capacity = asyncio.run(calibrate())
     measurements = {"capacity_rps": capacity, "storms": {}}
@@ -349,7 +292,9 @@ def _measure_overload(program, rows) -> dict:
         async def run_storm():
             stormed = server()
             async with stormed:
-                return await _storm(stormed, rows, total, duration)
+                return await _open_loop(
+                    stormed, "tenant-0", rows, total, duration
+                )
 
         responses, elapsed = asyncio.run(run_storm())
         completed = [

@@ -45,6 +45,7 @@ from .dsl import (
 )
 from .errors import apply_strategy, detect_errors
 from .relation import read_csv, write_csv
+from .resilience import FAMILIES
 from .synth import CheckpointError, GuardrailConfig, synthesize
 
 
@@ -214,8 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     chaos = sub.add_parser(
         "chaos",
-        help="inject every fault class and verify the degradation "
-        "policy holds (repro.resilience.chaos)",
+        help="inject fault classes and verify the degradation policy "
+        "holds (repro.resilience.chaos)",
     )
     chaos.add_argument(
         "--guard-policy",
@@ -227,51 +228,23 @@ def build_parser() -> argparse.ArgumentParser:
         "--fault",
         action="append",
         metavar="NAME",
-        help="run only this fault class (repeatable; default: all)",
+        help="run only this fault class (repeatable)",
+    )
+    chaos.add_argument(
+        "--family",
+        action="append",
+        choices=FAMILIES,
+        help="run only this fault family (repeatable; default: unit, "
+        "worker and durability; load and overload drive a live "
+        "GuardServer)",
     )
     chaos.add_argument(
         "--seed", type=int, default=0,
         help="seed for the harness's random generator (default 0)",
     )
     chaos.add_argument(
-        "--worker-faults",
-        action="store_true",
-        help="run only the process-level fault classes (worker "
-        "SIGKILL/hang/poisoned result in the supervised pool)",
-    )
-    chaos.add_argument(
-        "--durability",
-        action="store_true",
-        help="run only the disk-fault classes (torn journal tail, "
-        "corrupt snapshot, disk full, crash+restart) against the "
-        "durable state store",
-    )
-    chaos.add_argument(
-        "--load",
-        action="store_true",
-        help="run the chaos-under-load suite instead: faults injected "
-        "into a live GuardServer while a closed-loop client fleet "
-        "drives it (repro.resilience.chaos_load)",
-    )
-    chaos.add_argument(
-        "--clients", type=int, default=8,
-        help="closed-loop clients in the --load fleet (default 8)",
-    )
-    chaos.add_argument(
-        "--requests", type=int, default=5,
-        help="requests per client per --load traffic phase (default 5)",
-    )
-    chaos.add_argument(
-        "--overload",
-        action="store_true",
-        help="run the overload storm suite instead: traffic-shaped "
-        "faults (10x storms, retry bursts, noisy neighbors, deadline "
-        "stampedes) against a live GuardServer "
-        "(repro.resilience.chaos_overload)",
-    )
-    chaos.add_argument(
         "--scale", type=float, default=1.0,
-        help="scale factor on --overload storm volume (default 1.0)",
+        help="scale factor on overload storm volume (default 1.0)",
     )
 
     drift = sub.add_parser(
@@ -589,80 +562,21 @@ def _cmd_obs(args: argparse.Namespace) -> int:
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
-    from .resilience import (
-        DURABILITY_FAULT_CLASSES,
-        FAULT_CLASSES,
-        LOAD_FAULT_CLASSES,
-        OVERLOAD_FAULT_CLASSES,
-        WORKER_FAULT_CLASSES,
-        render_chaos_report,
-        render_load_report,
-        render_overload_report,
-        run_chaos_suite,
-        run_load_suite,
-        run_overload_suite,
-    )
-
-    if args.overload:
-        faults = (
-            tuple(args.fault) if args.fault else OVERLOAD_FAULT_CLASSES
-        )
-        unknown = [
-            f for f in faults if f not in OVERLOAD_FAULT_CLASSES
-        ]
-        if unknown:
-            print(
-                f"unknown overload fault class(es): "
-                f"{', '.join(unknown)}; choose from: "
-                f"{', '.join(OVERLOAD_FAULT_CLASSES)}",
-                file=sys.stderr,
-            )
-            return 2
-        outcomes = run_overload_suite(
-            args.guard_policy, faults=faults, scale=args.scale
-        )
-        print(render_overload_report(outcomes))
-        return 0 if all(o.conformant for o in outcomes) else 1
-    if args.load:
-        faults = tuple(args.fault) if args.fault else LOAD_FAULT_CLASSES
-        unknown = [f for f in faults if f not in LOAD_FAULT_CLASSES]
-        if unknown:
-            print(
-                f"unknown load fault class(es): {', '.join(unknown)}; "
-                f"choose from: {', '.join(LOAD_FAULT_CLASSES)}",
-                file=sys.stderr,
-            )
-            return 2
-        outcomes = run_load_suite(
-            args.guard_policy,
-            faults=faults,
-            clients=args.clients,
-            requests=args.requests,
-        )
-        print(render_load_report(outcomes))
-        return 0 if all(o.conformant for o in outcomes) else 1
-    if args.worker_faults:
-        default_faults = WORKER_FAULT_CLASSES
-    elif args.durability:
-        default_faults = DURABILITY_FAULT_CLASSES
-    else:
-        default_faults = FAULT_CLASSES
-    faults = tuple(args.fault) if args.fault else default_faults
-    unknown = [f for f in faults if f not in FAULT_CLASSES]
-    if unknown:
-        print(
-            f"unknown fault class(es): {', '.join(unknown)}; choose "
-            f"from: {', '.join(FAULT_CLASSES)}",
-            file=sys.stderr,
-        )
-        return 2
     import numpy as np
 
-    outcomes = run_chaos_suite(
-        args.guard_policy,
-        faults=faults,
-        rng=np.random.default_rng(args.seed),
-    )
+    from .resilience import render_chaos_report, run_chaos_suite
+
+    try:
+        outcomes = run_chaos_suite(
+            args.guard_policy,
+            faults=tuple(args.fault) if args.fault else None,
+            rng=np.random.default_rng(args.seed),
+            scale=args.scale,
+            families=tuple(args.family) if args.family else None,
+        )
+    except ValueError as error:  # an unknown or out-of-family name
+        print(error, file=sys.stderr)
+        return 2
     print(render_chaos_report(outcomes))
     return 0 if all(o.conformant for o in outcomes) else 1
 

@@ -17,30 +17,29 @@ Five pillars keep the pipeline production-safe:
 * :mod:`~repro.resilience.recovery` — the :class:`GuardrailSupervisor`
   closing the loop: quarantine, budgeted warm-started re-synthesis,
   held-out validation, atomic guardrail hot-swap with rollback;
-* :mod:`~repro.resilience.chaos` — a fault-injection harness proving
-  every fault class (including drift-shaped, process-level, and
-  disk-fault ones) yields a policy-conformant outcome, and
-  :mod:`~repro.resilience.chaos_load` — the same faults injected into
-  a live :class:`repro.serve.GuardServer` under a closed-loop client
-  fleet, judged at the service level (zero lost requests, verdict
-  parity, recovery);
+* :mod:`~repro.resilience.chaos` — a fault-injection harness: one
+  registry (:data:`FAULTS`) of fault classes in five families — unit,
+  worker (forked pool workers), durability (the state disk), load
+  (component faults inside a live :class:`repro.serve.GuardServer`
+  under closed-loop clients) and overload (traffic storms) — each
+  judged policy-conformant by one runner (:func:`run_fault`), with
+  the served families in :mod:`~repro.resilience.chaos_serve`;
 * :mod:`~repro.resilience.durability` — the crash-safe state store
   (write-ahead journal + atomic snapshot generations +
   :func:`~repro.resilience.durability.recover`) that makes hot-swaps,
   quarantine contents, and drift baselines survive process death;
 * :mod:`~repro.resilience.overload` — overload control for the
   serving layer (CoDel-style adaptive admission, request deadlines,
-  weighted fair-share budgets, brownout degradation tiers), with its
-  own storm-shaped chaos suite in
-  :mod:`~repro.resilience.chaos_overload`.
+  weighted fair-share budgets, brownout degradation tiers), judged by
+  the chaos harness's ``overload`` family.
 """
 
 from .budget import Budget, BudgetExceeded
 from .chaos import (
-    DURABILITY_FAULT_CLASSES,
-    FAULT_CLASSES,
-    WORKER_FAULT_CLASSES,
+    FAMILIES,
+    FAULTS,
     ChaosOutcome,
+    FaultClass,
     chaos_program,
     chaos_relation,
     render_chaos_report,
@@ -62,20 +61,6 @@ from .durability import (
     io_shim,
     recover,
     recover_runtime_state,
-)
-from .chaos_load import (
-    LOAD_FAULT_CLASSES,
-    LoadOutcome,
-    render_load_report,
-    run_load_fault,
-    run_load_suite,
-)
-from .chaos_overload import (
-    OVERLOAD_FAULT_CLASSES,
-    OverloadOutcome,
-    render_overload_report,
-    run_overload_fault,
-    run_overload_suite,
 )
 from .overload import (
     STEADY_CLOCK,
@@ -137,25 +122,15 @@ __all__ = [
     "SupervisorConfig",
     "HealOutcome",
     "GuardrailSupervisor",
-    "FAULT_CLASSES",
-    "WORKER_FAULT_CLASSES",
-    "DURABILITY_FAULT_CLASSES",
+    "FAMILIES",
+    "FAULTS",
+    "FaultClass",
     "ChaosOutcome",
     "chaos_relation",
     "chaos_program",
     "run_fault",
     "run_chaos_suite",
     "render_chaos_report",
-    "LOAD_FAULT_CLASSES",
-    "LoadOutcome",
-    "run_load_fault",
-    "run_load_suite",
-    "render_load_report",
-    "OVERLOAD_FAULT_CLASSES",
-    "OverloadOutcome",
-    "run_overload_fault",
-    "run_overload_suite",
-    "render_overload_report",
     "STEADY_CLOCK",
     "SteadyClock",
     "AdmissionController",

@@ -29,8 +29,8 @@ admission pipeline, in the order a request meets them:
 
 Everything here is synchronous, allocation-light, and loop-agnostic —
 the asyncio serve layer calls into it from the admission path and the
-batcher, and the chaos harness (:mod:`repro.resilience.chaos_overload`)
-drives it to its limits.
+batcher, and the chaos harness's ``overload`` family
+(:mod:`repro.resilience.chaos_serve`) drives it to its limits.
 """
 
 from __future__ import annotations

@@ -114,3 +114,27 @@ def chain_relation(chain_dag, rng) -> Relation:
 @pytest.fixture
 def chain_sem(chain_dag, rng):
     return random_sem(chain_dag, cardinalities=3, determinism=0.99, rng=rng)
+
+
+@pytest.fixture(scope="session")
+def chaos_matrix():
+    """The chaos conformance matrix, one policy at a time.
+
+    ``chaos_matrix(policy)`` maps every registered fault class to its
+    outcome under ``policy`` (storms at scale 0.4).  Each policy's
+    suite runs once per session and every chaos test file reads its
+    cells, so the 23 x 4 matrix costs one run per cell.
+    """
+    from repro.resilience import FAMILIES, run_chaos_suite
+
+    runs: dict = {}
+
+    def outcomes(policy: str) -> dict:
+        if policy not in runs:
+            runs[policy] = {
+                o.fault: o
+                for o in run_chaos_suite(policy, families=FAMILIES, scale=0.4)
+            }
+        return runs[policy]
+
+    return outcomes

@@ -1,105 +1,101 @@
-"""Chaos-under-load: faults injected while a client fleet drives serve.
+"""Chaos under load: faults injected while closed-loop clients drive serve.
 
-Each load fault class (``repro.resilience.chaos_load``) must be
-conformant — zero lost requests, verdict parity against a serial
-reference for every healthy response, and post-fault throughput
-recovery — while a closed-loop asyncio fleet keeps traffic flowing.
+Each class of the ``load`` family must be conformant — zero lost
+requests, verdict parity against a serial reference for every healthy
+response, and post-fault recovery — while the clients keep traffic
+flowing.  The conformance cells come from the shared ``chaos_matrix``.
 
-Marked both ``chaos`` and ``serve``; a fast smoke subset runs in
-tier-1 and the full matrix lives behind ``repro chaos --load``.
+Marked both ``chaos`` and ``serve``.
 """
+
+import re
 
 import pytest
 
 from repro.resilience import (
-    LOAD_FAULT_CLASSES,
-    LoadOutcome,
-    render_load_report,
-    run_load_fault,
-    run_load_suite,
+    FAULTS,
+    render_chaos_report,
+    run_chaos_suite,
+    run_fault,
 )
 
 pytestmark = [pytest.mark.chaos, pytest.mark.serve]
 
 
-class TestLoadFaults:
-    @pytest.mark.parametrize("fault", LOAD_FAULT_CLASSES)
-    def test_fault_class_conformant_under_warn(self, fault):
-        outcome = run_load_fault(fault, "warn", clients=6, requests=4)
-        assert isinstance(outcome, LoadOutcome)
-        assert outcome.fault == fault
-        assert outcome.conformant, outcome.detail
-        assert outcome.submitted > 0
-        assert outcome.resolved == outcome.submitted
+def named(fault: str, text: str) -> bool:
+    """Is ``fault`` in ``text`` as a whole word?  (``worker_kill`` is a
+    prefix of ``worker_killed``.)"""
+    return re.search(rf"\b{fault}\b", text) is not None
 
-    def test_guard_exception_conformant_under_strict(self):
+
+_LOAD = [name for name, f in FAULTS.items() if f.family == "load"]
+
+
+class TestLoadFaults:
+    @pytest.mark.parametrize("fault", _LOAD)
+    def test_fault_class_conformant_under_warn(self, chaos_matrix, fault):
+        outcome = chaos_matrix("warn")[fault]
+        assert outcome.family == "load"
+        assert outcome.conformant, outcome.detail
+        assert outcome.measures["submitted"] > 0
+        assert outcome.measures["resolved"] == outcome.measures["submitted"]
+
+    def test_guard_exception_conformant_under_strict(self, chaos_matrix):
         # Strict fails closed during the fault window; the judge still
         # demands zero lost requests and post-fault recovery.
-        outcome = run_load_fault(
-            "guard_exception", "strict", clients=6, requests=4
-        )
+        outcome = chaos_matrix("strict")["guard_exception"]
         assert outcome.conformant, outcome.detail
-        assert outcome.errors > 0  # the fault window really fired
+        assert outcome.measures["errors"] > 0  # the fault window fired
 
     def test_unknown_fault_rejected(self):
-        with pytest.raises(ValueError, match="unknown load fault"):
-            run_load_fault("gremlins", "warn")
+        with pytest.raises(ValueError, match="unknown fault class"):
+            run_fault("gremlins", "warn")
+        with pytest.raises(ValueError, match="in load"):
+            run_chaos_suite(faults=("raising_guard",), families=("load",))
 
     def test_suite_and_report_cover_every_class(self):
-        outcomes = run_load_suite("warn", clients=6, requests=3)
-        assert len(outcomes) == len(LOAD_FAULT_CLASSES)
-        assert all(o.conformant for o in outcomes), render_load_report(
-            outcomes
-        )
-        report = render_load_report(outcomes)
-        for fault in LOAD_FAULT_CLASSES:
-            assert fault in report
+        outcomes = run_chaos_suite("warn", families=("load",))
+        assert [o.fault for o in outcomes] == _LOAD
+        report = render_chaos_report(outcomes)
+        assert all(o.conformant for o in outcomes), report
+        assert all(named(fault, report) for fault in _LOAD)
+        assert f"{len(_LOAD)}/{len(_LOAD)}" in report
 
 
 class TestChaosLoadCli:
     def test_cli_chaos_load_exit_zero(self, capsys):
         from repro.cli import main
 
-        code = main(
-            ["chaos", "--load", "--clients", "6", "--requests", "3"]
-        )
+        code = main(["chaos", "--family", "load"])
         out = capsys.readouterr().out
         assert code == 0, out
-        for fault in LOAD_FAULT_CLASSES:
-            assert fault in out
+        for name, fault in FAULTS.items():
+            assert named(name, out) is (fault.family == "load")
 
     def test_cli_chaos_load_single_fault(self, capsys):
         from repro.cli import main
 
-        code = main(
-            [
-                "chaos",
-                "--load",
-                "--fault",
-                "hot_swap",
-                "--clients",
-                "6",
-                "--requests",
-                "3",
-            ]
-        )
+        # --fault alone searches every family.
+        code = main(["chaos", "--fault", "hot_swap"])
         out = capsys.readouterr().out
         assert code == 0, out
-        assert "hot_swap" in out
+        assert named("hot_swap", out)
+        assert "1/1 fault classes conformant" in out
 
     def test_cli_chaos_load_rejects_unit_fault_names(self, capsys):
         from repro.cli import main
 
-        # Unit-harness fault classes are not load faults; the CLI must
-        # say so instead of silently running nothing.
-        assert main(["chaos", "--load", "--fault", "guard_raises"]) == 2
+        # A unit class is not a load fault; the CLI must say so instead
+        # of silently running nothing.
+        code = main(["chaos", "--family", "load", "--fault", "raising_guard"])
+        assert code == 2
+        assert named("raising_guard", capsys.readouterr().err)
 
     def test_cli_chaos_worker_faults_subset(self, capsys):
         from repro.cli import main
-        from repro.resilience import WORKER_FAULT_CLASSES
 
-        code = main(["chaos", "--worker-faults"])
+        code = main(["chaos", "--family", "worker"])
         out = capsys.readouterr().out
         assert code == 0, out
-        for fault in WORKER_FAULT_CLASSES:
-            assert fault in out
+        for name, fault in FAULTS.items():
+            assert named(name, out) is (fault.family == "worker")

@@ -12,13 +12,12 @@ A second gate keeps ``docs/API.md`` honest: every subsystem in
 section there, so a new package (e.g. ``repro.parallel``) cannot land
 without reference documentation.
 
-A third gate keeps the chaos harness honest: every fault class —
-unit (``repro.resilience.chaos``), load
-(``repro.resilience.chaos_load``), and overload
-(``repro.resilience.chaos_overload``) — must be registered in its
-module's injector registry, exercised by a ``pytest -m chaos`` test,
-and listed in the ``docs/ARCHITECTURE.md`` fault table, so a fault
-class cannot be added without coverage and documentation.
+A third gate keeps the chaos harness honest: one loop over its
+registry (``repro.resilience.chaos.FAULTS``) demands that every fault
+class is exercised by a ``pytest -m chaos`` test and has exactly one
+row in the ``docs/ARCHITECTURE.md`` fault table, whose family column
+matches the registry, so a fault class cannot be added without
+coverage and documentation.
 
 A fourth gate keeps the serve-layer response contract honest: every
 :class:`repro.serve.ServeStatus` member must be named in the
@@ -33,6 +32,7 @@ the same checks into the default pytest run.
 from __future__ import annotations
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -182,78 +182,68 @@ def _chaos_marked_test_text(tests_root: Path = TESTS_ROOT) -> str:
     return "\n".join(parts)
 
 
-def find_chaos_gaps() -> list[str]:
-    """Fault classes missing registration, chaos tests, or docs.
+def _fault_table(doc_path: Path) -> list[tuple[str, str]]:
+    """``(fault class, family)`` for each row of the doc's fault table:
+    the table whose header starts ``| fault class | family |``."""
+    text = doc_path.read_text(encoding="utf-8") if doc_path.exists() else ""
+    rows: list[tuple[str, str]] = []
+    in_table = False
+    for line in text.splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if not line.startswith("|"):
+            in_table = False
+        elif cells[:2] == ["fault class", "family"]:
+            in_table = True
+        elif in_table and set(cells[0]) - set("-: "):
+            rows.append((cells[0].strip("`"), cells[1]))
+    return rows
 
-    Checks three invariants for every chaos fault class:
 
-    * **registered** — the public registry tuple matches the module's
-      injector mapping exactly (same names, same order for the unit
-      harness);
-    * **tested** — a ``pytest -m chaos`` test file names the fault or
-      parametrizes over its registry constant;
-    * **documented** — the fault appears in the
-      ``docs/ARCHITECTURE.md`` fault-class table.
+def find_chaos_gaps(doc_path: Path = ARCHITECTURE_DOC) -> list[str]:
+    """Fault classes missing a chaos test or their fault-table row.
+
+    One loop over the registry checks two invariants for every class:
+
+    * **tested** — a ``pytest -m chaos`` test file names the fault as
+      a whole word, or iterates over the registry (``FAULTS``);
+    * **documented** — exactly one row of the fault-class table in
+      ``doc_path`` names it, and that row's family column equals the
+      registry's family.
+
+    A table row naming an unregistered class is a gap too.
     """
     sys.path.insert(0, str(PACKAGE_ROOT.parent))
     try:
-        from repro.resilience import chaos, chaos_load, chaos_overload
+        from repro.resilience.chaos import FAULTS
     finally:
         sys.path.pop(0)
-    problems: list[str] = []
-    if chaos.FAULT_CLASSES != tuple(chaos._FAULTS):
-        problems.append(
-            "repro.resilience.chaos: FAULT_CLASSES does not match the "
-            "_FAULTS injector registry"
-        )
-    if not set(chaos.WORKER_FAULT_CLASSES) <= set(chaos.FAULT_CLASSES):
-        problems.append(
-            "repro.resilience.chaos: WORKER_FAULT_CLASSES is not a "
-            "subset of FAULT_CLASSES"
-        )
-    if not set(chaos.DURABILITY_FAULT_CLASSES) <= set(chaos.FAULT_CLASSES):
-        problems.append(
-            "repro.resilience.chaos: DURABILITY_FAULT_CLASSES is not a "
-            "subset of FAULT_CLASSES"
-        )
-    if set(chaos_load.LOAD_FAULT_CLASSES) != set(chaos_load._INJECTORS):
-        problems.append(
-            "repro.resilience.chaos_load: LOAD_FAULT_CLASSES does not "
-            "match the _INJECTORS registry"
-        )
-    if set(chaos_overload.OVERLOAD_FAULT_CLASSES) != set(
-        chaos_overload._INJECTORS
-    ):
-        problems.append(
-            "repro.resilience.chaos_overload: OVERLOAD_FAULT_CLASSES "
-            "does not match the _INJECTORS registry"
-        )
     chaos_tests = _chaos_marked_test_text()
-    architecture = (
-        ARCHITECTURE_DOC.read_text(encoding="utf-8")
-        if ARCHITECTURE_DOC.exists()
-        else ""
+    iterates_registry = re.search(r"\bFAULTS\b", chaos_tests) is not None
+    table = _fault_table(doc_path)
+    problems: list[str] = []
+    for fault in FAULTS.values():
+        named = re.search(rf"\b{fault.name}\b", chaos_tests) is not None
+        if not (named or iterates_registry):
+            problems.append(
+                f"fault class {fault.name!r}: no `pytest -m chaos` test "
+                "names it (or iterates over FAULTS)"
+            )
+        families = [family for name, family in table if name == fault.name]
+        if len(families) != 1:
+            problems.append(
+                f"fault class {fault.name!r}: {len(families)} rows in the "
+                f"{doc_path.name} fault table (want exactly one)"
+            )
+        elif families[0] != fault.family:
+            problems.append(
+                f"fault class {fault.name!r}: {doc_path.name} says family "
+                f"{families[0]!r}, the registry says {fault.family!r}"
+            )
+    problems.extend(
+        f"{doc_path.name} fault table lists unregistered class {name!r}"
+        for name, _ in table
+        if name not in FAULTS
     )
-    registries = (
-        ("FAULT_CLASSES", chaos.FAULT_CLASSES),
-        ("LOAD_FAULT_CLASSES", chaos_load.LOAD_FAULT_CLASSES),
-        (
-            "OVERLOAD_FAULT_CLASSES",
-            chaos_overload.OVERLOAD_FAULT_CLASSES,
-        ),
-    )
-    for constant, faults in registries:
-        for fault in faults:
-            if fault not in chaos_tests and constant not in chaos_tests:
-                problems.append(
-                    f"fault class {fault!r}: no `pytest -m chaos` test "
-                    f"names it (or parametrizes over {constant})"
-                )
-            if fault not in architecture:
-                problems.append(
-                    f"fault class {fault!r}: missing from the "
-                    "docs/ARCHITECTURE.md fault table"
-                )
     return problems
 
 
@@ -348,8 +338,8 @@ def main() -> int:
         f"sections in {API_DOC.relative_to(REPO_ROOT)}"
     )
     print(
-        "chaos gate: every fault class is registered, chaos-tested, "
-        "and documented"
+        "chaos gate: every fault class is chaos-tested and has one "
+        "fault-table row with its family"
     )
     print("serve gate: every ServeStatus member is documented")
     print("state hygiene: no stray journal/snapshot artifacts")
