@@ -15,7 +15,9 @@ arrival pattern:
   integer-coded and pushed through the numpy kernels of
   :mod:`repro.dsl.compiled`, amortizing the per-row probe overhead
   across the batch; :meth:`Guard.stream` cuts a row stream into such
-  batches.
+  batches.  A batch no wider than the probe crossover
+  (``_PROBE_MAX_ROWS``) takes the hash probes instead: the kernel's
+  fixed numpy cost per call outweighs what it saves on so few rows.
 
     guard = Guard(program)
     verdict = guard.check({"rel": "Husband", "marital-status": "Single"})
@@ -44,6 +46,16 @@ from .handle import DataIntegrityError, Strategy, _program_domains, _repair_row
 
 _NO_BRANCH = object()
 
+_PROBE_MAX_ROWS = 32
+"""The largest batch :meth:`Guard.check_batch` vets with per-row hash
+probes; larger batches go through the numpy kernel.  It is the largest
+size at which the probes beat the kernel in a microbenchmark on the
+6-attribute chain program and on the guardrails synthesized for Telco,
+Adult and Cylinder Bands (docs/PERFORMANCE.md, "The probe/kernel
+crossover").  No perfbench workload flushes a wider batch, so the
+kernel side is not yet measured end to end.  Both paths return
+identical verdicts."""
+
 
 @dataclass(frozen=True)
 class RowVerdict:
@@ -55,6 +67,10 @@ class RowVerdict:
 
     def __bool__(self) -> bool:
         return self.ok
+
+
+_CONFORMS = RowVerdict(True)
+"""The one verdict of every conforming row (verdicts are immutable)."""
 
 
 @dataclass
@@ -177,11 +193,13 @@ class Guard:
     def check_batch(
         self, rows: Sequence[Mapping[str, Hashable]]
     ) -> list[RowVerdict]:
-        """Vet a batch of rows in one kernel pass.
+        """Vet a batch of rows: up to ``_PROBE_MAX_ROWS`` rows by
+        per-row hash probes, a larger batch in one kernel pass.
 
-        Returns one :class:`RowVerdict` per input row, in order.  With
-        tracing enabled a ``guard.batch`` record and a latency sample
-        are emitted per flush.
+        Returns one :class:`RowVerdict` per input row, in order; both
+        paths return the same verdicts.  With tracing enabled a
+        ``guard.batch`` record and a latency sample are emitted per
+        flush.
         """
         rows = list(rows)
         traced = obs.enabled()
@@ -298,8 +316,7 @@ class Guard:
         ``state.get(d)`` defaults to None, matching ``condition_holds``:
         an absent attribute behaves like a missing (None) cell.
         """
-        original = dict(row)
-        state = dict(original)
+        state = dict(row)
         writes: list[tuple[str, Hashable]] = []
         for determinants, dependent, table in self._tables:
             expected = table.get(
@@ -310,19 +327,20 @@ class Guard:
             if state.get(dependent) != expected:
                 writes.append((dependent, expected))
                 state[dependent] = expected
-        if state == original:
-            return RowVerdict(True)
+        if not writes or state == dict(row):
+            return _CONFORMS
         return RowVerdict(False, tuple(writes))
 
     def _verdicts(
         self, rows: list[Mapping[str, Hashable]]
     ) -> list[RowVerdict]:
-        """Stat-free batch vetting through the compiled kernel."""
-        if not rows:
-            return []
+        """Stat-free batch vetting: hash probes for a small batch, the
+        compiled kernel for a larger one."""
+        if len(rows) <= _PROBE_MAX_ROWS:
+            return [self._verdict(row) for row in rows]
         compiled = self._compiled
         if not compiled.statements:
-            return [RowVerdict(True) for _ in rows]
+            return [_CONFORMS] * len(rows)
         codes = {
             attribute: np.fromiter(
                 (
@@ -343,7 +361,7 @@ class Guard:
         return [
             RowVerdict(False, tuple(per_row[index]))
             if index in per_row
-            else RowVerdict(True)
+            else _CONFORMS
             for index in range(len(rows))
         ]
 

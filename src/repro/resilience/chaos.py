@@ -51,6 +51,7 @@ from typing import Callable
 import numpy as np
 
 from ..dsl import Branch, Condition, Program, Statement
+from ..errors.stream import _PROBE_MAX_ROWS
 from ..relation import Relation
 from .policy import (
     CircuitBreaker,
@@ -340,25 +341,29 @@ def _codec_unseen(policy, rng, scale) -> str:
 
 
 def _judge_stream(policy: GuardPolicy, rows: list, bad: set) -> str:
-    """Vet ``rows`` through a resilient guard row by row and in
-    micro-batches of 4; check the policy.
+    """Vet ``rows`` through a resilient guard row by row, in
+    micro-batches of 4 and, repeated, in one batch wider than the
+    guard's probe crossover; check the policy.
 
-    ``bad`` marks the indexes the bare guard cannot vet; those must
-    raise under ``strict`` and take the policy verdict otherwise, and
-    the row and batch paths must agree row for row.
+    Micro-batches take the guard's per-row probes and the wide batch
+    its numpy kernel (whose failure on a malformed row sends the whole
+    batch to per-row salvage).  ``bad`` marks the indexes the bare
+    guard cannot vet; those must raise under ``strict`` and take the
+    policy verdict otherwise, and the three paths must agree row for
+    row.
     """
     from ..synth import Guardrail
 
     guardrail = Guardrail.from_program(chaos_program())
     # Generous breaker: the point here is per-row degradation, not
     # tripping the circuit (the breaker has its own unit tests).
-    row_guard, batch_guard = (
+    row_guard, batch_guard, wide_guard = (
         ResilientGuard(
             guardrail.guard(),
             policy=policy,
             breaker=CircuitBreaker(failure_threshold=10_000, max_retries=0),
         )
-        for _ in range(2)
+        for _ in range(3)
     )
     if policy is GuardPolicy.STRICT and bad:
         try:
@@ -370,18 +375,25 @@ def _judge_stream(policy: GuardPolicy, rows: list, bad: set) -> str:
                 f"wrong error type {type(error).__name__}: {error}"
             )
         raise Nonconformant("strict policy swallowed the fault")
+    repeats = _PROBE_MAX_ROWS // len(rows) + 1
     try:
         row_verdicts = [row_guard.check(row) for row in rows]
         batch_verdicts = list(batch_guard.stream(rows, batch_size=4))
+        wide_verdicts = wide_guard.check_batch(rows * repeats)
     except Exception as error:  # noqa: BLE001
         raise Nonconformant(f"unhandled {type(error).__name__}: {error}")
-    if len(row_verdicts) != len(rows) or len(batch_verdicts) != len(rows):
+    if (
+        len(row_verdicts) != len(rows)
+        or len(batch_verdicts) != len(rows)
+        or len(wide_verdicts) != len(rows) * repeats
+    ):
         raise Nonconformant("a row was dropped without a verdict")
     for index, (rv, bv) in enumerate(zip(row_verdicts, batch_verdicts)):
-        if rv.ok != bv.ok:
+        wide = {v.ok for v in wide_verdicts[index :: len(rows)]}
+        if {rv.ok} != {bv.ok} | wide:
             raise Nonconformant(
-                f"row/batch verdicts diverge at row {index}: "
-                f"{rv.ok} vs {bv.ok}"
+                f"row/batch verdicts diverge at row {index}: row "
+                f"{rv.ok}, micro-batch {bv.ok}, wide batch {sorted(wide)}"
             )
         expected_ok = policy is not GuardPolicy.REJECT
         if index in bad and rv.ok != expected_ok:

@@ -531,6 +531,7 @@ async def _overload_storm(policy, scale):
         goodput_ratio=goodput_ratio,
         peak_tier=peak_tier,
         recovered=recovered,
+        open_loop_s=elapsed,
     )
     if lost:
         raise Nonconformant(
@@ -713,7 +714,7 @@ async def _noisy_neighbor(policy, scale):
             _open_loop(server, "noisy", rows, flood_total, flood_duration)
         )
         loaded = await paced_phase()
-        flood_results, _ = await flood_task
+        flood_results, flood_s = await flood_task
     flood, lost = _tally(flood_results)
     p95_unloaded = _p95(unloaded)
     p95_loaded = _p95(loaded)
@@ -723,6 +724,10 @@ async def _noisy_neighbor(policy, scale):
         resolved=2 * paced + flood["resolved"],
         completed=flood["completed"],
         rejected=flood["rejected"],
+        # The open loop sends a fixed quota per tick, so a late tick
+        # stretches the flood and lowers the rate it really offered.
+        flood_s=flood_s,
+        flood_rps=len(flood_results) / max(flood_s, 1e-9),
     )
     if lost:
         raise Nonconformant(f"flood lost request(s): {lost[0]}", **measures)
@@ -747,8 +752,9 @@ async def _noisy_neighbor(policy, scale):
         )
     return (
         f"polite p95 {p95_unloaded:.1f}ms -> {p95_loaded:.1f}ms under a "
-        f"{flood_total}-request flood (bound {bound:.1f}ms); flood shed "
-        f"{flood['rejected']}, zero polite sheds",
+        f"{flood_total}-request flood over {flood_s:.2f}s "
+        f"({measures['flood_rps']:.0f} rps; bound {bound:.1f}ms); flood "
+        f"shed {flood['rejected']}, zero polite sheds",
         measures,
     )
 

@@ -240,9 +240,9 @@ class ResilientGuard:
     Wraps a :class:`~repro.errors.Guard` (or a
     :class:`~repro.resilience.LiveGuard`) with the breaker and the
     watchdog, and converts any guard failure (adversarial input,
-    injected fault, open circuit) into the policy's verdict.  A batch
-    kernel failure (one malformed row poisons the whole encode) is
-    retried row by row, so healthy rows in a bad batch still get real
+    injected fault, open circuit) into the policy's verdict.  A failed
+    batch (one malformed row poisons the whole call, probes or kernel)
+    is retried row by row, so healthy rows in a bad batch still get real
     verdicts and only the offending rows degrade — :meth:`check` and
     :meth:`check_batch` therefore agree under the same policy.
 
@@ -349,7 +349,8 @@ class ResilientGuard:
                 return None
 
     def _check_one(self, row) -> RowVerdict:
-        """Salvage one row of a failed batch through the batch kernel."""
+        """Salvage one row of a failed batch as a batch of one (which
+        the inner guard vets with its per-row probes)."""
         try:
             return self.breaker.call(self.guard.check_batch, [row])[0]
         except Exception as error:

@@ -24,7 +24,6 @@ predictor races the guard — a tripwire voids its output).
 from __future__ import annotations
 
 import asyncio
-import dataclasses
 import itertools
 import time
 from typing import Callable, Hashable, Mapping
@@ -326,13 +325,21 @@ class GuardServer:
             return
         self._running = False
         if drain:
-            joined = asyncio.gather(
-                *(t.queue.join() for t in self._tenants.values())
-            )
+            joins = [
+                asyncio.ensure_future(t.queue.join())
+                for t in self._tenants.values()
+            ]
+            # Not ``wait_for``: on timeout it cancels the joins and
+            # waits for them to unwind, about six loop passes, and a
+            # busy batcher can hold a blocking flush in each.
+            # ``asyncio.wait`` resumes on the next pass; an expired
+            # drain's leftovers go to the backstop below.
             try:
-                await asyncio.wait_for(joined, drain_timeout_seconds)
-            except asyncio.TimeoutError:
-                pass  # expired: the backstop below fails the leftovers
+                if joins:
+                    await asyncio.wait(joins, timeout=drain_timeout_seconds)
+            finally:
+                for join in joins:
+                    join.cancel()
         for task in self._tasks.values():
             task.cancel()
         await asyncio.gather(
@@ -548,14 +555,14 @@ class GuardServer:
         queued_ms = (
             STEADY_CLOCK.monotonic() - admitted.enqueued_at
         ) * 1000.0
-        response = await self._complete(
-            tenant_state, kind, row, request_id, outcome, predict_task
+        status, fields = await self._complete(
+            tenant_state, kind, row, outcome, predict_task
         )
         service_ms = (time.perf_counter() - started) * 1000.0
         metrics = tenant_state.metrics
-        if response.status is ServeStatus.ERROR:
+        if status is ServeStatus.ERROR:
             metrics.errors += 1
-        elif response.status is ServeStatus.EXPIRED:
+        elif status is ServeStatus.EXPIRED:
             metrics.expired += 1
         else:
             metrics.completed += 1
@@ -564,8 +571,19 @@ class GuardServer:
             metrics.latencies_ms.append(service_ms)
             if service_ms > metrics.service_ms_max:
                 metrics.service_ms_max = service_ms
-        return dataclasses.replace(
-            response, queued_ms=queued_ms, service_ms=service_ms
+        # Built once with its timings: the response is frozen, so
+        # stamping them on afterwards would copy it.
+        return ServeResponse(
+            status=status,
+            tenant=tenant,
+            kind=kind,
+            request_id=request_id,
+            version=outcome.version,
+            verdict=outcome.verdict,
+            degraded=outcome.degraded,
+            queued_ms=queued_ms,
+            service_ms=service_ms,
+            **fields,
         )
 
     async def _complete(
@@ -573,38 +591,28 @@ class GuardServer:
         tenant: Tenant,
         kind: str,
         row: Mapping[str, Hashable],
-        request_id: int,
         outcome: _FlushOutcome,
         predict_task: "asyncio.Task | None",
-    ) -> ServeResponse:
-        """Turn a flush outcome into the terminal response, running or
-        cancelling the predict stage as the mode dictates."""
-        base = dict(
-            tenant=tenant.name,
-            kind=kind,
-            request_id=request_id,
-            version=outcome.version,
-            verdict=outcome.verdict,
-            degraded=outcome.degraded,
-        )
+    ) -> "tuple[ServeStatus, dict]":
+        """Decide a flush outcome's terminal status, running or
+        cancelling the predict stage as the mode dictates.  Returns the
+        status and the response fields beyond those every response
+        carries (``error``, ``row``, ``prediction``, ``gated``,
+        ``voided``)."""
         if outcome.expired:
             # Shed at dequeue: the guard never ran; a racing predictor
             # (parallel mode) is pointless work now — void it.
             if predict_task is not None:
                 await self._void(predict_task)
-            return ServeResponse(status=ServeStatus.EXPIRED, **base)
+            return ServeStatus.EXPIRED, {}
         if outcome.error is not None:
             if predict_task is not None:
                 await self._void(predict_task)
-            return ServeResponse(
-                status=ServeStatus.ERROR, error=outcome.error, **base
-            )
+            return ServeStatus.ERROR, {"error": outcome.error}
         if kind == "check":
-            return ServeResponse(status=ServeStatus.OK, **base)
+            return ServeStatus.OK, {}
         if kind == "rectify":
-            return ServeResponse(
-                status=ServeStatus.OK, row=outcome.row, **base
-            )
+            return ServeStatus.OK, {"row": outcome.row}
         # predict
         tripped = outcome.verdict is not None and not outcome.verdict.ok
         metrics = tenant.metrics
@@ -613,35 +621,23 @@ class GuardServer:
                 await self._void(predict_task)
                 metrics.voided += 1
                 tenant.emit("serve.voided")
-                return ServeResponse(
-                    status=ServeStatus.OK, voided=True, **base
-                )
+                return ServeStatus.OK, {"voided": True}
             try:
                 prediction = await predict_task
             except Exception as error:
-                return ServeResponse(
-                    status=ServeStatus.ERROR,
-                    error=f"predictor failed: {error}",
-                    **base,
-                )
-            return ServeResponse(
-                status=ServeStatus.OK, prediction=prediction, **base
-            )
+                return ServeStatus.ERROR, {
+                    "error": f"predictor failed: {error}"
+                }
+            return ServeStatus.OK, {"prediction": prediction}
         if tripped:  # blocking mode: the expensive stage never runs
             metrics.gated += 1
             tenant.emit("serve.gated")
-            return ServeResponse(status=ServeStatus.OK, gated=True, **base)
+            return ServeStatus.OK, {"gated": True}
         try:
             prediction = await self._run_predictor(tenant, row)
         except Exception as error:
-            return ServeResponse(
-                status=ServeStatus.ERROR,
-                error=f"predictor failed: {error}",
-                **base,
-            )
-        return ServeResponse(
-            status=ServeStatus.OK, prediction=prediction, **base
-        )
+            return ServeStatus.ERROR, {"error": f"predictor failed: {error}"}
+        return ServeStatus.OK, {"prediction": prediction}
 
     async def _run_predictor(self, tenant: Tenant, row):
         """Run the tenant's predictor (awaiting it when async)."""

@@ -380,35 +380,53 @@ class Tenant:
         after the first row, whichever comes first — and never later
         than 75% of the earliest request deadline in hand, so a
         batch's budget bounds its flush while the deadline request can
-        still be served.  The flush itself is synchronous (no
-        awaits), so a whole batch runs under one atomic guard
-        snapshot and swaps land only between flushes.
+        still be served.  The budget is a running minimum, tightened
+        as each request joins the batch.
+
+        Requests already queued are taken with ``get_nowait``, and the
+        batcher yields once (``asyncio.sleep(0)``) per request it takes
+        from a non-empty queue: callers and other tenants run in
+        between, and a cancel lands with the request already in hand.
+        Only an empty queue arms a getter and a timer for the rest of
+        the budget, so a queued request costs no Task and no timer.
+        The flush itself is synchronous (no awaits), so a whole batch
+        runs under one atomic guard snapshot and swaps land only
+        between flushes.
         """
-        config = self.config
+        queue = self.queue
+        clock = STEADY_CLOCK.monotonic
+        max_batch = self.config.max_batch
+        max_wait_s = self.config.max_wait_ms / 1000.0
         while True:
-            batch = [await self.queue.get()]
-            deadline = (
-                STEADY_CLOCK.monotonic() + config.max_wait_ms / 1000.0
-            )
+            parked = queue.empty()
+            pending = await queue.get()
+            batch = [pending]
+            budget = clock() + max_wait_s
             try:
-                while len(batch) < config.max_batch:
-                    budget = deadline
-                    for pending in batch:
-                        if pending.deadline_at is not None:
-                            # Flush at 75% of the request's budget,
-                            # not at the deadline itself: a batch cut
-                            # exactly at the deadline would expire the
-                            # very request it was cut for.
-                            margin = 0.25 * (
-                                pending.deadline_at
-                                - pending.enqueued_at
-                            )
-                            budget = min(
-                                budget, pending.deadline_at - margin
-                            )
-                    remaining = budget - STEADY_CLOCK.monotonic()
+                if not parked:
+                    await asyncio.sleep(0)
+                while True:
+                    deadline_at = pending.deadline_at
+                    if deadline_at is not None:
+                        # Flush at 75% of the request's budget, not at
+                        # the deadline itself: a batch cut exactly at
+                        # the deadline would expire the very request
+                        # it was cut for.
+                        budget = min(
+                            budget,
+                            deadline_at
+                            - 0.25 * (deadline_at - pending.enqueued_at),
+                        )
+                    if len(batch) >= max_batch:
+                        break
+                    remaining = budget - clock()
                     if remaining <= 0:
                         break
+                    if not queue.empty():
+                        pending = queue.get_nowait()
+                        batch.append(pending)
+                        await asyncio.sleep(0)
+                        continue
                     # Not ``wait_for``: when an external cancel races
                     # its timeout, ``wait_for`` reports TimeoutError
                     # and the cancellation is swallowed — a draining
@@ -416,7 +434,7 @@ class Tenant:
                     # batcher.  ``asyncio.wait`` lets CancelledError
                     # propagate; a just-dequeued item is rescued into
                     # the batch so the cancel handler resolves it.
-                    getter = asyncio.ensure_future(self.queue.get())
+                    getter = asyncio.ensure_future(queue.get())
                     try:
                         done, _ = await asyncio.wait(
                             {getter}, timeout=remaining
@@ -427,11 +445,11 @@ class Tenant:
                         else:
                             getter.cancel()
                         raise
-                    if getter in done:
-                        batch.append(getter.result())
-                    else:
+                    if getter not in done:
                         getter.cancel()
                         break
+                    pending = getter.result()
+                    batch.append(pending)
             except asyncio.CancelledError:
                 # Killed (chaos, ``stop(drain=False)``) with a batch in
                 # hand: the in-hand requests must not be stranded —

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import asyncio
 import inspect
+import sys
 
 import numpy as np
 import pytest
@@ -97,6 +98,27 @@ def city_program() -> Program:
             statement("Country", "State", state_to_country),
         )
     )
+
+
+@pytest.fixture
+def batch_sides(monkeypatch):
+    """Both sides of ``Guard.check_batch``'s size dispatch, in turn.
+
+    Iterating yields ``"probes"`` with the crossover
+    (``repro.errors.stream._PROBE_MAX_ROWS``) raised so that every
+    batch takes the per-row hash probes, then ``"kernel"`` with it at
+    0 so that every non-empty batch takes the numpy kernel.  A test
+    loops over it to pin a batch behaviour on both paths, whatever the
+    sizes of its batches.
+    """
+    from repro.errors import stream
+
+    def sides():
+        for side, crossover in (("probes", sys.maxsize), ("kernel", 0)):
+            monkeypatch.setattr(stream, "_PROBE_MAX_ROWS", crossover)
+            yield side
+
+    return sides()
 
 
 @pytest.fixture

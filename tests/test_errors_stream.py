@@ -166,14 +166,15 @@ class TestBranchCollision:
         assert not verdict.ok
         assert verdict.violations == (("b", "first"),)
 
-    def test_batchguard_first_match_wins(self):
+    def test_batchguard_first_match_wins(self, batch_sides):
         program = Program((_statement_with_colliding_branches(),))
         guard = Guard(program)
-        verdicts = guard.check_batch(
-            [{"a": "x", "b": "first"}, {"a": "x", "b": "second"}]
-        )
-        assert verdicts[0].ok
-        assert verdicts[1].violations == (("b", "first"),)
+        for side in batch_sides:
+            verdicts = guard.check_batch(
+                [{"a": "x", "b": "first"}, {"a": "x", "b": "second"}]
+            )
+            assert verdicts[0].ok, side
+            assert verdicts[1].violations == (("b", "first"),), side
 
 
 class TestStateThreading:
@@ -193,33 +194,40 @@ class TestStateThreading:
             """
         )
 
-    def test_downstream_reads_threaded_value(self, chain):
+    def test_downstream_reads_threaded_value(self, chain, batch_sides):
         # b is corrupted; statement 1 rewrites it to 'b1', so statement
         # 2 must judge c against the *threaded* b1 (expect c1), not
         # against the observed 'bad' (which would expect c9).
         row = {"a": "a1", "b": "bad", "c": "c1"}
         guard = Guard(chain)
-        for verdict in (guard.check(row), guard.check_batch([row])[0]):
+        verdicts = [guard.check(row)]
+        verdicts += [guard.check_batch([row])[0] for _ in batch_sides]
+        for verdict in verdicts:
             assert not verdict.ok
             assert verdict.violations == (("b", "b1"),)
 
-    def test_threaded_write_can_flag_downstream(self, chain):
+    def test_threaded_write_can_flag_downstream(self, chain, batch_sides):
         # The threaded b1 makes statement 2 fire: c must become c1.
         row = {"a": "a1", "b": "bad", "c": "c9"}
         guard = Guard(chain)
-        for verdict in (guard.check(row), guard.check_batch([row])[0]):
+        verdicts = [guard.check(row)]
+        verdicts += [guard.check_batch([row])[0] for _ in batch_sides]
+        for verdict in verdicts:
             assert set(verdict.violations) == {("b", "b1"), ("c", "c1")}
 
 
 class TestBatchGuard:
-    def test_matches_rowguard_on_fixtures(self, city_program, city_relation):
+    def test_matches_rowguard_on_fixtures(
+        self, city_program, city_relation, batch_sides
+    ):
         rows = [city_relation.row(i) for i in range(city_relation.n_rows)]
         singles = [Guard(city_program).check(r) for r in rows]
-        batched = Guard(city_program).check_batch(rows)
-        assert [v.ok for v in singles] == [v.ok for v in batched]
-        assert [v.violations for v in singles] == [
-            v.violations for v in batched
-        ]
+        for side in batch_sides:
+            batched = Guard(city_program).check_batch(rows)
+            assert [v.ok for v in singles] == [v.ok for v in batched], side
+            assert [v.violations for v in singles] == [
+                v.violations for v in batched
+            ], side
 
     def test_stream_micro_batches(self, city_program, city_relation):
         rows = [city_relation.row(i) for i in range(city_relation.n_rows)]
@@ -240,15 +248,18 @@ class TestBatchGuard:
         expected = detect_errors(city_program, city_relation).row_mask
         assert (mask == expected).all()
 
-    def test_empty_batch_and_empty_program(self):
-        assert Guard(Program.empty()).check_batch([]) == []
-        assert Guard(Program.empty()).check_batch([{"x": 1}])[0].ok
+    def test_empty_batch_and_empty_program(self, city_program, batch_sides):
+        for side in batch_sides:
+            assert Guard(Program.empty()).check_batch([]) == [], side
+            assert Guard(city_program).check_batch([]) == [], side
+            assert Guard(Program.empty()).check_batch([{"x": 1}])[0].ok, side
 
     def test_rejects_bad_batch_size(self, city_program):
         with pytest.raises(ValueError):
             list(Guard(city_program).stream([{}], batch_size=0))
 
-    def test_unseen_values_are_uncovered(self, city_program):
+    def test_unseen_values_are_uncovered(self, city_program, batch_sides):
         guard = Guard(city_program)
         row = {"PostalCode": "00000", "City": "Atlantis"}
-        assert guard.check_batch([row])[0].ok
+        for side in batch_sides:
+            assert guard.check_batch([row])[0].ok, side

@@ -5,16 +5,18 @@
 guard's ``check_batch``/``rectify``, ``CompiledProgram.run_codes``) in
 spans for its traced runs, and attributes each layer's busy time to
 them.  The benchmark's own smoke tests take minutes, so this drives one
-in-memory tenant through a ``check`` and a ``rectify`` with the same
-hooks installed and asserts that every one of them fired: a refactor
-that moves a hooked method off the served path fails here.  The test
-only reads ``perfbench/``.
+in-memory tenant through a ``check`` and a ``rectify``, and one flush
+wider than the guard's probe crossover (so the kernel, and with it
+``run_codes``, runs), with the same hooks installed and asserts that
+every one of them fired: a refactor that moves a hooked method off the
+served path fails here.  The test only reads ``perfbench/``.
 """
 
 import asyncio
 from pathlib import Path
 
 from repro.dsl import Branch, Condition, Program, Statement
+from repro.errors.stream import _PROBE_MAX_ROWS
 from repro.serve import GuardServer, TenantConfig
 from repro.synth import Guardrail
 
@@ -43,24 +45,36 @@ def test_serve_path_fires_every_benchmark_hook(monkeypatch):
     import serve_bench
     from tracer import Tracer
 
+    # Small batches take the guard's per-row probes, so only a flush
+    # wider than the crossover reaches the kernel: tenant "wide" gets
+    # one, filled to max_batch by that many concurrent checks.
+    wide = _PROBE_MAX_ROWS + 1
     server = GuardServer()
     server.register("a", _guardrail(), TenantConfig(max_wait_ms=0.5))
+    server.register(
+        "wide", _guardrail(), TenantConfig(max_batch=wide, max_wait_ms=5000)
+    )
     row = {"PostalCode": "94704", "City": "Oakland"}
 
     async def drive():
         async with server:
             checked = await server.check("a", row)
             repaired = await server.rectify("a", row)
-        return checked, repaired
+            flushed = await asyncio.gather(
+                *(server.check("wide", row) for _ in range(wide))
+            )
+        return checked, repaired, flushed
 
     tracer = Tracer(enabled=True)
     try:
         serve_bench._instrument(tracer)
         tracer.start()
-        checked, repaired = asyncio.run(drive())
+        checked, repaired, flushed = asyncio.run(drive())
         tracer.stop()
         assert not checked.verdict.ok
         assert repaired.row["City"] == "Berkeley"
+        assert all(not response.verdict.ok for response in flushed)
+        assert server.tenant("wide").metrics.batches == 1
         silent = [name for name in HOOKS if tracer.calls(name) == 0]
         assert not silent, f"hooks never fired on the serve path: {silent}"
     finally:

@@ -185,34 +185,40 @@ class TestAdversarialGuardParity:
 
     Under every policy the two paths must give the same per-row
     verdicts, every row must get a verdict, and unvettable rows must
-    take exactly the policy's degraded verdict.
+    take exactly the policy's degraded verdict.  The batch path is
+    pinned on both sides of the guard's size dispatch (probes and
+    kernel), the per-row salvage included.
     """
 
     @pytest.mark.parametrize(
         "policy", ["warn", "pass_through", "reject"]
     )
-    def test_row_and_batch_verdicts_agree(self, guardrail, policy):
+    def test_row_and_batch_verdicts_agree(
+        self, guardrail, policy, batch_sides
+    ):
         rows = [row for row, _ in _ADVERSARIAL]
-        row_guard, batch_guard = _wrappers(guardrail, policy)
-        row_verdicts = [row_guard.check(row) for row in rows]
-        batch_verdicts = batch_guard.check_batch(rows)
-        assert len(row_verdicts) == len(batch_verdicts) == len(rows)
         expect_degraded_ok = GuardPolicy.parse(policy).fails_open
-        for (row, vettable), rv, bv in zip(
-            _ADVERSARIAL, row_verdicts, batch_verdicts
-        ):
-            assert rv.ok == bv.ok, f"diverged on {row!r}"
-            if not vettable:
-                assert rv.ok == expect_degraded_ok
+        for side in batch_sides:
+            row_guard, batch_guard = _wrappers(guardrail, policy)
+            row_verdicts = [row_guard.check(row) for row in rows]
+            batch_verdicts = batch_guard.check_batch(rows)
+            assert len(row_verdicts) == len(batch_verdicts) == len(rows)
+            for (row, vettable), rv, bv in zip(
+                _ADVERSARIAL, row_verdicts, batch_verdicts
+            ):
+                assert rv.ok == bv.ok, f"{side}: diverged on {row!r}"
+                if not vettable:
+                    assert rv.ok == expect_degraded_ok
 
-    def test_strict_raises_on_unvettable_rows(self, guardrail):
+    def test_strict_raises_on_unvettable_rows(self, guardrail, batch_sides):
         row_guard, batch_guard = _wrappers(guardrail, "strict")
         with pytest.raises(GuardUnavailableError):
             row_guard.check(42)
-        with pytest.raises(GuardUnavailableError):
-            batch_guard.check_batch([42])
+        for side in batch_sides:
+            with pytest.raises(GuardUnavailableError):
+                batch_guard.check_batch([42])
 
-    def test_vettable_rows_get_real_verdicts(self, guardrail):
+    def test_vettable_rows_get_real_verdicts(self, guardrail, batch_sides):
         # Healthy rows keep their native verdicts even when the batch
         # contains poison (per-row salvage).
         bad_city = {
@@ -222,12 +228,13 @@ class TestAdversarialGuardParity:
             "Country": "USA",
         }
         rows = [bad_city, 42, _ADVERSARIAL[0][0]]
-        _, batch_guard = _wrappers(guardrail, "warn")
-        verdicts = batch_guard.check_batch(rows)
-        assert verdicts[0].ok is False  # real violation, not degraded
-        assert verdicts[1].ok is True  # degraded open
-        assert verdicts[2].ok is True  # genuinely clean
-        assert batch_guard.stats.degraded_verdicts == 1
+        for side in batch_sides:
+            _, batch_guard = _wrappers(guardrail, "warn")
+            verdicts = batch_guard.check_batch(rows)
+            assert verdicts[0].ok is False, side  # real violation
+            assert verdicts[1].ok is True, side  # degraded open
+            assert verdicts[2].ok is True, side  # genuinely clean
+            assert batch_guard.stats.degraded_verdicts == 1, side
 
     def test_stats_track_degradations(self, guardrail):
         row_guard, _ = _wrappers(guardrail, "warn")

@@ -9,9 +9,10 @@ included) must produce identical verdicts from:
 * :func:`repro.errors.detect_errors` (compiled kernels),
 * every entry point of the streaming guard: :meth:`repro.errors.Guard.check`
   (hash probes), :meth:`~repro.errors.Guard.check_batch` at several
-  batch sizes and :meth:`~repro.errors.Guard.stream` (micro-batched
-  kernels), and the same calls through :class:`repro.resilience.LiveGuard`
-  and :class:`repro.resilience.ResilientGuard`.
+  batch sizes on both sides of its probe-or-kernel crossover, and
+  :meth:`~repro.errors.Guard.stream` (micro-batched), and the same
+  calls through :class:`repro.resilience.LiveGuard` and
+  :class:`repro.resilience.ResilientGuard`.
 
 Any divergence — all-branches vs first-match, branch-local vs threaded
 reads, sentinel aliasing of unseen literals — shows up here as a
@@ -33,6 +34,7 @@ from repro.dsl import (
     row_conforms,
 )
 from repro.errors import Guard, apply_strategy, detect_errors
+from repro.errors.stream import _PROBE_MAX_ROWS
 from repro.relation import Relation
 from repro.resilience import (
     CircuitBreaker,
@@ -133,7 +135,9 @@ def _guard_paths(program: Program, rows: list) -> dict[str, list]:
         "ResilientGuard.check": [resilient.check(row) for row in rows],
         "ResilientGuard.check_batch": resilient.check_batch(rows),
     }
-    for size in (1, 16, 64):
+    # The crossover and one past it pin both sides of check_batch's
+    # probe-or-kernel dispatch.
+    for size in (1, 16, _PROBE_MAX_ROWS, _PROBE_MAX_ROWS + 1, 64):
         paths[f"Guard.check_batch[{size}]"] = _batched(
             guard.check_batch, rows, size
         )

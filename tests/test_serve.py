@@ -251,6 +251,39 @@ class TestBatchedVerdictParity:
         assert response.verdict.ok
 
 
+class TestBatcherTasks:
+    async def test_queued_burst_takes_no_task_per_request(self):
+        """A burst of ``max_batch`` queued checks is taken with
+        ``get_nowait``: at most one ``Queue.get`` Task per batch, not
+        one per request."""
+        loop = asyncio.get_running_loop()
+        getter_tasks = []
+
+        def factory(loop, coro, **kwargs):
+            if getattr(coro, "__qualname__", "") == "Queue.get":
+                getter_tasks.append(coro)
+            return asyncio.Task(coro, loop=loop, **kwargs)
+
+        loop.set_task_factory(factory)
+        try:
+            server = GuardServer()
+            server.register(
+                "a",
+                _guardrail(),
+                TenantConfig(max_batch=16, max_wait_ms=1000.0),
+            )
+            async with server:
+                responses = await asyncio.gather(
+                    *(server.check("a", row) for row in _rows(16))
+                )
+        finally:
+            loop.set_task_factory(None)
+        assert all(r.ok for r in responses)
+        batches = server.tenant("a").metrics.batches
+        assert batches >= 1
+        assert len(getter_tasks) <= batches
+
+
 class TestModes:
     async def test_blocking_gates_predict_on_tripwire(self):
         calls = []

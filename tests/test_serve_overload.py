@@ -391,6 +391,34 @@ class TestDeadlines:
         assert response.status is ServeStatus.OK
         assert elapsed < 0.4
 
+    async def test_last_admitted_deadline_still_bounds_batch(self):
+        # The tightest deadline arrives last, into a batch already
+        # open on a 2s max_wait: the flush budget is a running
+        # minimum, so the batch is cut at 75% of that request's 200ms
+        # budget (about 150ms) with every request served in one flush.
+        server = GuardServer()
+        server.register(
+            "a",
+            _guardrail(),
+            TenantConfig(max_batch=64, max_wait_ms=2000.0),
+        )
+        async with server:
+            first = asyncio.ensure_future(server.check("a", ROW))
+            await asyncio.sleep(0.005)  # the batch is open, first in hand
+            started = time.perf_counter()
+            others = [
+                asyncio.ensure_future(server.check("a", ROW))
+                for _ in range(3)
+            ]
+            last = await server.check("a", ROW, deadline_ms=200.0)
+            elapsed = time.perf_counter() - started
+            responses = await asyncio.gather(first, *others)
+        assert last.status is ServeStatus.OK
+        assert all(r.status is ServeStatus.OK for r in responses)
+        assert elapsed < 1.0
+        metrics = server.tenant("a").metrics
+        assert (metrics.batches, metrics.rows_flushed) == (1, 5)
+
 
 class TestRetryHints:
     async def test_simultaneous_rejections_get_distinct_hints(self):
