@@ -71,6 +71,13 @@ def _best_of(fn, repeats=2):
     return best
 
 
+def _timed(fn):
+    """One run of ``fn``: (wall seconds, its result)."""
+    start = time.perf_counter()
+    result = fn()
+    return time.perf_counter() - start, result
+
+
 def _append_trajectory(path: Path, entry: dict) -> None:
     """Append one scaling entry to a BENCH_*.json trajectory."""
     payload = json.loads(path.read_text()) if path.exists() else {}
@@ -148,13 +155,12 @@ def test_synthesis_scaling(workload):
     config = GuardrailConfig(epsilon=0.08, min_support=8, seed=5)
 
     results, times = {}, {}
-    serial_s = _best_of(lambda: synthesize(relation, config), repeats=1)
-    baseline = synthesize(relation, config)
+    serial_s, baseline = _timed(lambda: synthesize(relation, config))
     for workers in _WORKER_COUNTS:
         pool = WorkerPool(workers, min_shard_rows=1024)
-        results[workers] = synthesize(relation, config, workers=pool)
-        times[workers] = _best_of(
-            lambda: synthesize(relation, config, workers=pool), repeats=1
+        synthesize(relation, config, workers=pool)  # warm-up
+        times[workers], results[workers] = _timed(
+            lambda: synthesize(relation, config, workers=pool)
         )
 
     for workers, result in results.items():
@@ -163,15 +169,36 @@ def test_synthesis_scaling(workload):
         assert (
             result.pc_result.n_ci_tests == baseline.pc_result.n_ci_tests
         )
+        # Only PC fans out: Algorithm 2 fills each distinct statement
+        # once against the one shared fill cache, at any worker count.
+        assert (
+            result.fill_stats.statements_filled
+            == baseline.fill_stats.statements_filled
+        ), f"workers={workers}"
 
     speedup = serial_s / times[4]
     lines = [f"rows: {relation.n_rows}, cores: {_cores}"]
-    lines.append(f"serial        {serial_s:8.2f} s")
-    for workers, t in times.items():
-        lines.append(
-            f"{workers} worker(s)   {t:8.2f} s   "
-            f"speedup {serial_s / t:.2f}x"
+    lines.append(
+        f"{'':12}  {'total':>8}   {'speedup':>7}   {'pc':>7}   "
+        f"{'alg2':>7}   filled"
+    )
+
+    def row(label, seconds, result):
+        timings = result.timings
+        return (
+            f"{label:12}  {seconds:7.2f}s   {serial_s / seconds:6.2f}x   "
+            f"{timings['structure_learning']:6.2f}s   "
+            f"{timings['enumeration_and_fill']:6.2f}s   "
+            f"{result.fill_stats.statements_filled:6d}"
         )
+
+    lines.append(row("serial", serial_s, baseline))
+    for workers, t in times.items():
+        lines.append(row(f"{workers} worker(s)", t, results[workers]))
+    lines.append(
+        "pc = structure_learning, alg2 = enumeration_and_fill, "
+        "filled = fill_stats.statements_filled"
+    )
     banner("Parallel synthesis scaling", "\n".join(lines))
 
     if os.environ.get("REPRO_UPDATE_BENCH") == "1":

@@ -667,6 +667,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         queue_size=args.queue_size,
     )
 
+    resent = 0
+
     async def drive() -> GuardServer:
         server = GuardServer(state_dir=args.state_dir)
         names = [f"tenant-{i}" for i in range(args.tenants)]
@@ -674,13 +676,19 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             server.register(name, guardrail, config)
 
         async def client(client_id: int) -> None:
+            nonlocal resent
             for i in range(args.requests):
                 index = client_id * args.requests + i
                 tenant = names[index % len(names)]
-                response = await server.check(
-                    tenant, rows[index % len(rows)]
-                )
-                if response.rejected:
+                # A shed request is re-sent after its retry hint until
+                # it is admitted, so every requested check is served.
+                while True:
+                    response = await server.check(
+                        tenant, rows[index % len(rows)]
+                    )
+                    if not response.rejected:
+                        break
+                    resent += 1
                     await asyncio.sleep(response.retry_after or 0.001)
 
         async with server:
@@ -700,7 +708,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     print(
         f"{total} requests served across {args.tenants} tenants "
         f"({args.clients} clients x {args.requests} requests; "
-        f"{flagged} degraded verdicts)"
+        f"{resent} rejections re-sent; {flagged} degraded verdicts)"
     )
     if args.state_dir is not None:
         print(f"durable state journaled under {args.state_dir}")

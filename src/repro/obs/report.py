@@ -266,6 +266,22 @@ emits; the subset present in a trace forms the report's durability
 section."""
 
 
+def _counter_subset(
+    events: Iterable[dict], names: tuple[str, ...]
+) -> dict[str, int]:
+    """Totals of the ``names`` counters present in a trace (one entry
+    per name observed; empty when none was emitted)."""
+    totals: dict[str, int] = {}
+    wanted = set(names)
+    for event in events:
+        if event.get("type") != "counter":
+            continue
+        name = event.get("name")
+        if name in wanted:
+            totals[name] = totals.get(name, 0) + int(event.get("value", 1))
+    return totals
+
+
 def aggregate_durability(events: Iterable[dict]) -> dict[str, int]:
     """Collect the durability/recovery counters present in a trace.
 
@@ -274,15 +290,7 @@ def aggregate_durability(events: Iterable[dict]) -> dict[str, int]:
     :func:`aggregate_worker_faults` — every absorbed disk incident and
     every recovery statistic is surfaced, never silently dropped.
     """
-    totals: dict[str, int] = {}
-    wanted = set(DURABILITY_COUNTERS)
-    for event in events:
-        if event.get("type") != "counter":
-            continue
-        name = event.get("name")
-        if name in wanted:
-            totals[name] = totals.get(name, 0) + int(event.get("value", 1))
-    return totals
+    return _counter_subset(events, DURABILITY_COUNTERS)
 
 
 OVERLOAD_COUNTERS = (
@@ -308,15 +316,7 @@ def aggregate_overload(events: Iterable[dict]) -> dict[str, int]:
     outcomes, so they surface in the report exactly like durability
     incidents rather than hiding inside per-tenant counters.
     """
-    totals: dict[str, int] = {}
-    wanted = set(OVERLOAD_COUNTERS)
-    for event in events:
-        if event.get("type") != "counter":
-            continue
-        name = event.get("name")
-        if name in wanted:
-            totals[name] = totals.get(name, 0) + int(event.get("value", 1))
-    return totals
+    return _counter_subset(events, OVERLOAD_COUNTERS)
 
 
 def worker_ids(events: Iterable[dict]) -> tuple[int, ...]:
@@ -334,6 +334,33 @@ def worker_ids(events: Iterable[dict]) -> tuple[int, ...]:
             }
         )
     )
+
+
+def _summary_lines(
+    workers: tuple[int, ...],
+    worker_faults: dict[str, int],
+    durability: dict[str, int],
+    overload: dict[str, int],
+) -> list[str]:
+    """The report's one-line summaries: merged workers, absorbed worker
+    faults, durability and overload counters (each only when present)."""
+    lines = []
+    if workers:
+        lines.append(
+            f"merged events from {len(workers)} worker process(es): "
+            f"{list(workers)}"
+        )
+    for title, totals in (
+        ("worker faults absorbed", worker_faults),
+        ("durability", durability),
+        ("overload", overload),
+    ):
+        if totals:
+            stats = ", ".join(
+                f"{name}={n}" for name, n in sorted(totals.items())
+            )
+            lines.append(f"{title}: {stats}")
+    return lines
 
 
 @dataclass
@@ -390,31 +417,17 @@ class ObsReport:
         return len(self.workers)
 
     def render(self) -> str:
-        """The metrics section of the text report, plus the worker line."""
-        lines = []
-        if self.workers:
-            lines.append(
-                f"  merged events from {self.n_workers} worker "
-                f"process(es): {list(self.workers)}"
+        """The metrics section of the text report, under the summary
+        lines (workers, worker faults, durability, overload)."""
+        lines = [
+            f"  {line}"
+            for line in _summary_lines(
+                self.workers,
+                self.worker_faults,
+                self.durability,
+                self.overload,
             )
-        if self.worker_faults:
-            kinds = ", ".join(
-                f"{kind}={n}"
-                for kind, n in sorted(self.worker_faults.items())
-            )
-            lines.append(f"  worker faults absorbed: {kinds}")
-        if self.durability:
-            stats = ", ".join(
-                f"{name}={n}"
-                for name, n in sorted(self.durability.items())
-            )
-            lines.append(f"  durability: {stats}")
-        if self.overload:
-            stats = ", ".join(
-                f"{name}={n}"
-                for name, n in sorted(self.overload.items())
-            )
-            lines.append(f"  overload: {stats}")
+        ]
         body = render_metrics(
             [
                 {"type": "counter", "name": name, "value": value}
@@ -440,28 +453,12 @@ def render_report(source: "Iterable[dict] | str | Path") -> str:
         ("Drift & self-healing", render_drift_dashboard(events)),
     ]
     parts = [f"trace: {len(events)} events"]
-    workers = worker_ids(events)
-    if workers:
-        parts.append(
-            f"workers: merged events from {len(workers)} forked "
-            f"process(es)"
-        )
-    faults = aggregate_worker_faults(events)
-    if faults:
-        parts.append(
-            "worker faults absorbed: "
-            + ", ".join(
-                f"{kind}={n}" for kind, n in sorted(faults.items())
-            )
-        )
-    durability = aggregate_durability(events)
-    if durability:
-        parts.append(
-            "durability: "
-            + ", ".join(
-                f"{name}={n}" for name, n in sorted(durability.items())
-            )
-        )
+    parts += _summary_lines(
+        worker_ids(events),
+        aggregate_worker_faults(events),
+        aggregate_durability(events),
+        aggregate_overload(events),
+    )
     for title, body in sections:
         parts.append(f"\n{title}\n{'-' * len(title)}\n{body}")
     return "\n".join(parts)

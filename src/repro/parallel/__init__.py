@@ -1,9 +1,11 @@
 """Sharded multicore execution for synthesis and detection.
 
 The hot paths of the reproduction — compiled detection, PC's level-wise
-CI tests, Algorithm 2's per-DAG sketch fill, and drift-window statistics
-— are embarrassingly parallel over row shards or independent work items.
-This package provides the one primitive they all share:
+CI tests, and drift-window statistics — are embarrassingly parallel over
+row shards or independent work items.  (Algorithm 2's sketch fills are
+not fanned out: they share one statement-level fill cache, and a forked
+worker would refill what the cache already holds.)  This package
+provides the one primitive they all share:
 :class:`WorkerPool`, a fork-based ``multiprocessing`` pool with
 
 * **shared-memory numpy partitions**: workers are forked, so relation

@@ -7,7 +7,7 @@ Design notes
 so workers inherit the parent's memory copy-on-write: the relation code
 arrays, compiled programs, CI testers, and drift references a stage
 shares with its workers cost nothing to transfer.  Only the per-item
-payloads (shard indices, DAG indices, pair indices — small integers)
+payloads (shard indices, window indices, pair indices — small integers)
 and the per-item results cross the process boundary via pickle.
 
 **Shared state by inheritance.**  A stage passes its large read-only

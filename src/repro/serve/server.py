@@ -173,15 +173,6 @@ class GuardServer:
             },
         }
 
-    def _attach_durability(self, name: str, tenant: Tenant) -> None:
-        """Route the tenant's committed events into the journal."""
-
-        def journal(kind: str, **data) -> None:
-            self._store.append(kind, tenant=name, **data)
-
-        tenant.versions.attach_journal(journal)
-        tenant.quarantine.attach_journal(journal)
-
     # ------------------------------------------------------------------
     # Registration and lifecycle.
     # ------------------------------------------------------------------
@@ -218,7 +209,21 @@ class GuardServer:
                 ],
                 cursor=tenant.versions.cursor,
             )
-            self._attach_durability(name, tenant)
+        return self._install(name, tenant)
+
+    def _install(self, name: str, tenant: Tenant) -> Tenant:
+        """Activate one built tenant: journal hooks (when durable), its
+        fair share, overload wiring, the tenant map, and a batcher when
+        the server is running.  Both :meth:`register` and
+        :meth:`recover` end here, so a recovered tenant is wired
+        exactly like a registered one."""
+        if self._store is not None:
+            # Route the tenant's committed events into the journal.
+            def journal(kind: str, **data) -> None:
+                self._store.append(kind, tenant=name, **data)
+
+            tenant.versions.attach_journal(journal)
+            tenant.quarantine.attach_journal(journal)
         if self._limiter is not None:
             self._limiter.register(name, tenant.config.share)
         tenant.attach_overload(self._limiter, self._brownout)
@@ -422,11 +427,9 @@ class GuardServer:
             tenant.quarantine.restore(
                 state["quarantine"], dropped=state["quarantine_dropped"]
             )
-            # Hooks attach *after* the rebuild: replayed events must
-            # not be journaled a second time.
-            server._attach_durability(name, tenant)
-            tenant.attach_overload(server._limiter, server._brownout)
-            server._tenants[name] = tenant
+            # Installed (journal hooks attached) *after* the rebuild:
+            # replayed events must not be journaled a second time.
+            server._install(name, tenant)
         brownout_state = folded.get("brownout")
         if brownout_state:
             # Restore (not replay-through-observe): journaled tier

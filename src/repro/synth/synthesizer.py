@@ -98,51 +98,6 @@ def enumerate_candidate_dags(
         yield DAG(cpdag.nodes, edges)
 
 
-_WORKER_FILL_CACHES: dict[int, FillCache] = {}
-"""Per-process fill caches for :func:`_fill_dag_job`, keyed by the
-identity of the fork-inherited shared tuple (fresh per pool launch)."""
-
-
-def _fill_dag_job(index: int):
-    """Worker task: prune + fill one candidate DAG (parallel Alg. 2).
-
-    Reads the fork-inherited shared tuple ``(relation, dags, epsilon,
-    min_support, judge, seed_entries)``, fills against a worker-local
-    :class:`~repro.sketch.FillCache` seeded from the parent's, and
-    returns ``(program, selection_score, delta_entries, stats)`` — the
-    parent merges the delta into the shared cache and applies the
-    serial earliest-maximum selection rule in DAG order.
-    """
-    from ..parallel import get_shared
-
-    shared = get_shared()
-    relation, dags, epsilon, min_support, judge, seed_entries = shared
-    local = _WORKER_FILL_CACHES.get(id(shared))
-    if local is None:
-        local = FillCache(entries=dict(seed_entries))
-        _WORKER_FILL_CACHES[id(shared)] = local
-    sketch = ProgramSketch.from_dag(dags[index])
-    if judge is not None:
-        sketch = judge.prune_to_gnt(sketch)
-    stats = FillStats()
-    before = set(local.entries)
-    program = fill_program_sketch(
-        sketch,
-        relation,
-        epsilon,
-        min_support=min_support,
-        cache=local,
-        stats=stats,
-    )
-    delta = {
-        key: value
-        for key, value in local.entries.items()
-        if key not in before
-    }
-    score = program_coverage(program, relation) * max(len(program), 1)
-    return program, score, delta, stats
-
-
 def synthesize(
     relation: Relation,
     config: GuardrailConfig | None = None,
@@ -172,14 +127,14 @@ def synthesize(
     ----------
     workers:
         An int or a :class:`repro.parallel.WorkerPool`: PC's level-wise
-        CI tests and Algorithm 2's per-DAG sketch fills fan out across
-        forked worker processes, with worker-local fill caches merged
-        back into the shared :class:`~repro.sketch.FillCache`.  The
-        synthesized program is **bit-identical** to the serial run at
-        any worker count; only ``fill_stats`` bookkeeping (cache-hit
-        counts, which depend on work placement) may differ.  Under a
-        wall-clock budget, truncation lands on DAG/level boundaries
-        instead of mid-fill — partial results remain valid.
+        CI tests fan out across forked worker processes.  Algorithm 2
+        stays one loop in this process, so every DAG fills against the
+        one shared :class:`~repro.sketch.FillCache` and no statement is
+        filled twice.  The result — program, PC output and
+        ``fill_stats`` — is **bit-identical** to the serial run at any
+        worker count.  Under a budget, PC's truncation lands on level
+        boundaries instead of between CI tests; partial results remain
+        valid.
     warm_start:
         A prior run's :class:`~repro.pgm.PCResult`: its skeleton seeds
         PC's starting graph (PC then only prunes within it) and its
@@ -246,9 +201,6 @@ def _synthesize(
     resume_from=None,
 ) -> SynthesisResult:
     """The span-free body of :func:`synthesize` (Alg. 2 proper)."""
-    from ..parallel import as_pool
-
-    pool = as_pool(workers)
     rng = np.random.default_rng(config.seed)
     timings: dict[str, float] = {}
 
@@ -323,7 +275,7 @@ def _synthesize(
                     if warm_start is not None
                     else None
                 ),
-                pool=pool,
+                pool=workers,
             )
     timings["structure_learning"] = time.perf_counter() - start
 
@@ -376,124 +328,48 @@ def _synthesize(
     # and enumerate its consistent extensions instead of enforcing exact
     # class membership — Alg. 2's coverage criterion then selects among
     # them.
-    def consider(dag, dag_budget=None) -> None:
-        nonlocal best_program, best_coverage, n_dags
-        n_dags += 1
-        sketch = ProgramSketch.from_dag(dag)
-        if judge is not None:
-            sketch = judge.prune_to_gnt(sketch)
-        program = fill_program_sketch(
-            sketch,
-            relation,
-            config.epsilon,
-            min_support=config.min_support,
-            cache=cache,
-            stats=stats,
-            budget=dag_budget,
-        )
-        # Selection uses *total* statement coverage: unlike the average,
-        # it does not reward DAGs whose statements fail to concretize
-        # (⊥ statements are dropped, which would inflate an average).
-        coverage = program_coverage(program, relation) * max(len(program), 1)
-        if coverage > best_coverage:
-            best_coverage = coverage
-            best_program = program
-
     with obs.span("synth.enumeration_and_fill") as fill_span:
-        if pool is not None and pool.parallel:
-            from ..sketch.fill import _MISS
-
-            # Parallel Alg. 2: materialize the (deterministic) DAG list,
-            # fan the per-DAG prune+fill out across forked workers, and
-            # reduce the ordered results exactly as the serial loop
-            # would — earliest maximum wins, so the selected program is
-            # bit-identical at any worker count.  Workers fill against
-            # worker-local caches seeded from the shared one; their
-            # deltas merge back first-wins (fills are deterministic, so
-            # placement only moves bookkeeping, never content).
-            dags = list(
-                enumerate_candidate_dags(
-                    pc_result.cpdag, max_dags=config.max_dags, budget=budget
-                )
-            )
-            start_index = min(skip_dags, len(dags))
-            n_dags = start_index
-            shared = (
+        for dag in enumerate_candidate_dags(
+            pc_result.cpdag, max_dags=config.max_dags, budget=budget
+        ):
+            n_dags += 1
+            if n_dags <= skip_dags:
+                # Resume: this prefix of the deterministic enumeration
+                # was already concretized before the crash; its best
+                # survivor is seeded above.
+                continue
+            # The first DAG concretizes in full even under an exhausted
+            # budget (the partial-result guarantee); later DAGs respect
+            # it and may stop mid-statement.
+            dag_budget = None if n_dags == 1 else budget
+            sketch = ProgramSketch.from_dag(dag)
+            if judge is not None:
+                sketch = judge.prune_to_gnt(sketch)
+            program = fill_program_sketch(
+                sketch,
                 relation,
-                dags,
                 config.epsilon,
-                config.min_support,
-                judge,
-                dict(cache.entries),
+                min_support=config.min_support,
+                cache=cache,
+                stats=stats,
+                budget=dag_budget,
             )
-            results = pool.imap(
-                _fill_dag_job,
-                list(range(start_index, len(dags))),
-                shared=shared,
-            )
-            try:
-                for program, score, delta, job_stats in results:
-                    first = start_index == 0 and n_dags == 0
-                    n_dags += 1
-                    for key, value in delta.items():
-                        if cache.get(key) is _MISS:
-                            cache.put(key, value)
-                    stats.statements_filled += job_stats.statements_filled
-                    stats.cache_hits += job_stats.cache_hits
-                    stats.branches_considered += job_stats.branches_considered
-                    stats.branches_kept += job_stats.branches_kept
-                    if score > best_coverage:
-                        best_coverage = score
-                        best_program = program
-                    if can_journal:
-                        journal("fill", n_dags, best_program, best_coverage)
-                    # Budget lands on DAG boundaries here: the first DAG
-                    # is free (the partial-result guarantee), later ones
-                    # charge their fresh fills and exhaustion stops the
-                    # reduction — a coarser truncation point than the
-                    # serial per-statement one, but every intermediate
-                    # state is one the serial run also reaches.
-                    if budget is not None and not first and delta:
-                        budget.spend(len(delta), kind="sketch.fill")
-                    if (
-                        budget is not None
-                        and n_dags > 0
-                        and budget.exhausted()
-                    ):
-                        budget.note(
-                            f"enumeration: stopped after {n_dags} DAGs"
-                        )
-                        break
-            finally:
-                results.close()
-        else:
-            for dag in enumerate_candidate_dags(
-                pc_result.cpdag, max_dags=config.max_dags, budget=budget
-            ):
-                if n_dags < skip_dags:
-                    # Resume: this prefix of the deterministic
-                    # enumeration was already concretized before the
-                    # crash; its best survivor is seeded above.
-                    n_dags += 1
-                    continue
-                # The first DAG concretizes in full even under an
-                # exhausted budget (the partial-result guarantee); later
-                # DAGs respect it and may stop mid-fill.
-                dag_budget = None if n_dags == 0 else budget
-                consider(dag, dag_budget=dag_budget)
-                fill_complete = (
-                    dag_budget is None or not dag_budget.exhausted()
-                )
-                if can_journal and fill_complete:
-                    # A truncated fill is never journaled: the
-                    # checkpoint must only hold states the uninterrupted
-                    # run reaches.
-                    journal("fill", n_dags, best_program, best_coverage)
-                if budget is not None and n_dags > 0 and budget.exhausted():
-                    budget.note(
-                        f"enumeration: stopped after {n_dags} DAGs"
-                    )
-                    break
+            # Selection uses *total* statement coverage: unlike the
+            # average, it does not reward DAGs whose statements fail to
+            # concretize (⊥ statements are dropped, which would inflate
+            # an average).
+            score = program_coverage(program, relation) * max(len(program), 1)
+            if score > best_coverage:
+                best_coverage = score
+                best_program = program
+            fill_complete = dag_budget is None or not dag_budget.exhausted()
+            if can_journal and fill_complete:
+                # A truncated fill is never journaled: the checkpoint
+                # must only hold states the uninterrupted run reaches.
+                journal("fill", n_dags, best_program, best_coverage)
+            if budget is not None and budget.exhausted():
+                budget.note(f"enumeration: stopped after {n_dags} DAGs")
+                break
         fill_span.set(
             dags=n_dags,
             cache_hits=stats.cache_hits,
@@ -543,7 +419,7 @@ class Guardrail:
         An optional :class:`repro.resilience.Budget` caps the synthesis;
         a budget-truncated fit is still usable (``result.partial``).
         ``workers`` (an int or a :class:`repro.parallel.WorkerPool`)
-        fans the CI tests and per-DAG fills across forked workers.
+        fans PC's CI tests across forked workers (see :func:`synthesize`).
         """
         self._result = synthesize(
             relation, self.config, budget=budget, workers=workers

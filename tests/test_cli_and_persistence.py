@@ -1,5 +1,7 @@
 """Tests for the CLI, Guardrail persistence, and SQL HAVING support."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,29 @@ class TestCli:
             ]
         ) == 0
         assert read_csv(fixed_csv).value(0, dependent) == original
+
+    def test_serve_resends_rejected_requests(
+        self, tmp_path, city_csv, city_relation, capsys
+    ):
+        program_path = tmp_path / "prog.dsl"
+        Guardrail(GuardrailConfig(epsilon=0.02, min_support=3)).fit(
+            city_relation
+        ).save(program_path)
+        # A one-slot queue under 16 concurrent clients sheds most first
+        # attempts; every shed check must be re-sent until served.
+        assert main(
+            [
+                "serve", str(program_path), str(city_csv),
+                "--tenants", "1",
+                "--clients", "16",
+                "--requests", "3",
+                "--queue-size", "1",
+            ]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "48 requests served across 1 tenants" in out
+        resent = re.search(r"(\d+) rejections re-sent", out)
+        assert int(resent.group(1)) > 0  # the queue really shed
 
     def test_datasets_listing(self, capsys):
         assert main(["datasets"]) == 0

@@ -171,6 +171,19 @@ class TestReport:
         assert "rows rectified  1" in report
         assert "City" in report
 
+    def test_report_summarizes_overload_and_durability(self):
+        events = [
+            {"type": "counter", "name": "serve.rejected", "value": 3},
+            {"type": "counter", "name": "durability.snapshots", "value": 1},
+        ]
+        report = obs.render_report(events)
+        assert "overload: serve.rejected=3" in report
+        assert "durability: durability.snapshots=1" in report
+        # The merged view prints the same summary lines.
+        merged = obs.ObsReport.from_events(events).render()
+        assert "  overload: serve.rejected=3" in merged
+        assert "  durability: durability.snapshots=1" in merged
+
     def test_empty_trace_renders(self):
         report = obs.render_report([])
         assert "(no spans recorded)" in report

@@ -1,9 +1,11 @@
 """Serial ↔ parallel equivalence properties (the tentpole guarantee).
 
 Every parallel path in the pipeline — sharded detection, level-parallel
-PC, per-DAG sketch fill, window-parallel drift scanning — promises
-**bit-identical** results to its serial twin at any worker count.  These
-tests pin that promise at workers ∈ {1, 2, 4} with fixed seeds.
+PC, window-parallel drift scanning — promises **bit-identical** results
+to its serial twin at any worker count.  Synthesis with ``workers=``
+fans out PC only; Algorithm 2 runs one loop against one fill cache, so
+its ``fill_stats`` match the serial run's too.  These tests pin that
+promise at workers ∈ {1, 2, 4} with fixed seeds.
 
 Relations are rebuilt fresh for every worker setting: detection results
 are memoized per (program, relation) in :mod:`repro.dsl.compiled`, and
@@ -165,6 +167,7 @@ class TestSynthesisEquivalence:
             assert result.coverage == baseline.coverage
             assert result.loss == baseline.loss
             assert result.n_dags_enumerated == baseline.n_dags_enumerated
+            assert result.fill_stats == baseline.fill_stats
 
     def test_fill_cache_merges_back(self):
         from repro.sketch import FillCache
@@ -195,9 +198,9 @@ class TestSynthesisEquivalence:
             budget=Budget(max_steps=1),
             workers=_pool(4),
         )
-        # Truncation may land on a different boundary than serial, but
-        # the partial result must be a valid program the serial run also
-        # reaches — and the first-DAG guarantee still holds.
+        # PC's truncation may land on a different (level) boundary than
+        # serial, but the partial result must be a valid program the
+        # serial run also reaches — and the first-DAG guarantee holds.
         assert budgeted.partial
         assert budgeted.budget_notes
         assert len(budgeted.program) > 0

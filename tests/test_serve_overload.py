@@ -607,6 +607,28 @@ class TestBrownoutDurability:
         assert recovered.store.last_seq == seq_before
 
 
+class TestFairShareRecovery:
+    def test_recovered_tenants_keep_their_shares(self, tmp_path):
+        server = GuardServer(state_dir=tmp_path, budget=8)
+        server.register("a", _guardrail(), TenantConfig(share=3.0))
+        server.register("b", _guardrail(), TenantConfig(share=1.0))
+        recovered = GuardServer.recover(tmp_path, budget=8)
+        seq_before = recovered.store.last_seq
+        limiter = recovered.limiter
+        assert limiter.snapshot()["shares"] == {"a": 3.0, "b": 1.0}
+        assert limiter.guaranteed("a") == pytest.approx(6.0)
+        assert limiter.guaranteed("b") == pytest.approx(2.0)
+        # A tenant registered after recovery splits the budget with the
+        # recovered ones instead of claiming all of it.
+        recovered.register("c", _guardrail(), TenantConfig(share=4.0))
+        assert limiter.guaranteed("a") == pytest.approx(3.0)
+        assert limiter.guaranteed("b") == pytest.approx(1.0)
+        assert limiter.guaranteed("c") == pytest.approx(4.0)
+        # Installing the recovered tenants journaled nothing; only the
+        # new registration did.
+        assert recovered.store.last_seq == seq_before + 1
+
+
 class TestDrainUnderSaturation:
     async def test_drain_respects_deadlines(self):
         # stop(drain=True) with a saturated queue and a too-short
