@@ -155,6 +155,9 @@ def test_synthesis_scaling(workload):
     config = GuardrailConfig(epsilon=0.08, min_support=8, seed=5)
 
     results, times = {}, {}
+    # Serial gets the same untimed warm-up as each worker count below,
+    # so the speedups compare warm runs with warm runs.
+    synthesize(relation, config)
     serial_s, baseline = _timed(lambda: synthesize(relation, config))
     for workers in _WORKER_COUNTS:
         pool = WorkerPool(workers, min_shard_rows=1024)

@@ -695,7 +695,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             await asyncio.gather(
                 *(client(i) for i in range(args.clients))
             )
-            server.publish_metrics()
         return server
 
     server = asyncio.run(drive())

@@ -139,20 +139,16 @@ class Guard:
         """Feed every verdict into a drift detector.
 
         ``detector`` follows the :class:`repro.resilience.DriftDetector`
-        protocol (``sample_every`` + ``ingest``/``ingest_many``); pass
-        ``None`` to detach.  The guard inlines the detector's 1-in-k
-        sampling countdown (``_drift_tick``; 0 doubles as "no
-        detector"), so a skipped row pays one decrement — no method
-        call — and only every k-th verdict reaches the detector.  The
-        countdown carries across rows and batches alike, so
-        :meth:`check` and :meth:`check_batch` sample exactly the same
-        rows of a stream.
+        protocol: :meth:`check` hands it each verdict as
+        ``observe(row, ok)`` and :meth:`check_batch` each batch as
+        ``observe_batch(rows, oks)``; pass ``None`` to detach.  The
+        detector owns its 1-in-k sampling countdown, which carries
+        across rows and batches alike, so both entry points sample
+        exactly the same rows of a stream, and a ``sample_every`` the
+        detector is given later (brownout widening) applies to the
+        guard's next row.
         """
         self._drift = detector
-        self._drift_every = (
-            getattr(detector, "sample_every", 1) if detector else 1
-        )
-        self._drift_tick = self._drift_every if detector else 0
 
     @property
     def drift(self):
@@ -169,13 +165,9 @@ class Guard:
         traced = obs.enabled()
         start = time.perf_counter() if traced else 0.0
         verdict = self._verdict(row)
-        tick = self._drift_tick
-        if tick:
-            if tick != 1:
-                self._drift_tick = tick - 1
-            else:
-                self._drift_tick = self._drift_every
-                self._drift.ingest(row, verdict.ok)
+        drift = self._drift
+        if drift is not None:
+            drift.observe(row, verdict.ok)
         self.stats.rows_checked += 1
         if not verdict.ok:
             self._count_flagged(verdict)
@@ -206,20 +198,10 @@ class Guard:
         start = time.perf_counter() if traced else 0.0
         verdicts = self._verdicts(rows)
         n = len(rows)
-        if self._drift is not None and n:
-            # The batch form of check()'s countdown: only the sampled
-            # slice pays the ``.ok`` extraction.
-            first = self._drift_tick - 1
-            if first >= n:
-                self._drift_tick -= n
-            else:
-                k = self._drift_every
-                last = first + ((n - 1 - first) // k) * k
-                self._drift_tick = last + k - n + 1
-                self._drift.ingest_many(
-                    rows[first::k],
-                    [verdict.ok for verdict in verdicts[first::k]],
-                )
+        if self._drift is not None:
+            self._drift.observe_batch(
+                rows, [verdict.ok for verdict in verdicts]
+            )
         self.stats.rows_checked += n
         flagged = [verdict for verdict in verdicts if not verdict.ok]
         for verdict in flagged:

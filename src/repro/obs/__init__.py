@@ -44,7 +44,9 @@ from .sinks import (
     read_jsonl,
 )
 from .trace import (
+    STEADY_CLOCK,
     SpanHandle,
+    SteadyClock,
     configure,
     count,
     current_sink,
@@ -72,6 +74,8 @@ __all__ = [
     "current_sink",
     "merge_events",
     "SpanHandle",
+    "SteadyClock",
+    "STEADY_CLOCK",
     # sinks
     "Sink",
     "NullSink",

@@ -20,6 +20,9 @@ one predictable branch when observability is off.
     with obs.tracing(obs.JsonlSink("trace.jsonl")):
         synthesize(relation)
 
+Every event is stamped by :data:`STEADY_CLOCK`, the one process-wide
+clock the serving layer also measures queue sojourns and deadlines on.
+
 Thread-safety: the span stack is thread-local, so concurrent guards
 trace correctly; the sink itself is shared and assumed append-only.
 """
@@ -35,6 +38,41 @@ from typing import Callable, Iterator, TypeVar
 from .sinks import JsonlSink, MemorySink, NullSink, Sink
 
 F = TypeVar("F", bound=Callable)
+
+
+class SteadyClock:
+    """A wall-anchored monotonic clock: one source for stamps *and* spans.
+
+    ``time.time()`` can step backwards under NTP corrections, which
+    makes it unusable for durations — yet event timestamps need wall
+    meaning.  ``SteadyClock`` anchors a ``perf_counter`` origin to the
+    wall clock once, at construction: :meth:`now` returns
+    wall-meaningful timestamps that can never go backwards, and
+    :meth:`monotonic` returns the raw monotonic reading for interval
+    arithmetic (queue sojourns, deadlines).  Because both come from
+    the same counter, a duration computed from two :meth:`now` stamps
+    equals the same duration computed from :meth:`monotonic` — the
+    single-clock-source property that obs-event stamps and the serving
+    layer's ``queued_ms`` accounting share.
+    """
+
+    def __init__(self) -> None:
+        self._anchor = time.time()
+        self._origin = time.perf_counter()
+
+    def monotonic(self) -> float:
+        """Seconds on the monotonic axis (for intervals and deadlines)."""
+        return time.perf_counter()
+
+    def now(self) -> float:
+        """A wall-meaningful timestamp that can never step backwards."""
+        return self._anchor + (time.perf_counter() - self._origin)
+
+
+STEADY_CLOCK = SteadyClock()
+"""The process-wide clock every obs event is stamped with, and the one
+the serving layer measures sojourns and deadlines on, so all of their
+timestamps are mutually ordered."""
 
 _NULL = NullSink()
 _sink: Sink = _NULL
@@ -155,7 +193,7 @@ class SpanHandle:
             "span_id": self.span_id,
             "parent_id": self.parent_id,
             "dur_s": duration,
-            "ts": time.time(),
+            "ts": STEADY_CLOCK.now(),
         }
         if exc_type is not None:
             event["error"] = exc_type.__name__
@@ -234,7 +272,7 @@ def count(name: str, value: int = 1, **attrs) -> None:
         "type": "counter",
         "name": name,
         "value": value,
-        "ts": time.time(),
+        "ts": STEADY_CLOCK.now(),
     }
     if attrs:
         event["attrs"] = attrs
@@ -249,7 +287,7 @@ def observe(name: str, value: float, **attrs) -> None:
         "type": "observe",
         "name": name,
         "value": float(value),
-        "ts": time.time(),
+        "ts": STEADY_CLOCK.now(),
     }
     if attrs:
         event["attrs"] = attrs
@@ -260,7 +298,7 @@ def record(kind: str, **fields) -> None:
     """Emit a free-form structured event (e.g. a guard verdict)."""
     if not _enabled:
         return
-    event = {"type": kind, "ts": time.time()}
+    event = {"type": kind, "ts": STEADY_CLOCK.now()}
     event.update(fields)
     _emit(event)
 

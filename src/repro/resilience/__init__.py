@@ -89,7 +89,6 @@ from .policy import (
 )
 from .policy import ResilientBatchGuard, ResilientRowGuard  # noqa: F401 - former names
 from .recovery import (
-    OVERFLOW_POLICIES,
     GuardrailSupervisor,
     GuardrailVersions,
     HealOutcome,
@@ -115,7 +114,6 @@ __all__ = [
     "DriftDetector",
     "DriftStats",
     "render_drift_report",
-    "OVERFLOW_POLICIES",
     "QuarantineBuffer",
     "GuardrailVersions",
     "LiveGuard",

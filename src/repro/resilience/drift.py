@@ -19,12 +19,13 @@ typed :class:`DriftAlert` records:
   violation verdicts, alerting when the smoothed rate crosses the
   control limit derived from the training baseline.
 
-The per-row cost is one countdown decrement, plus one list append on
-every ``sample_every``-th row (the detectors evaluate a 1-in-k
-systematic sample of the stream; k=1 disables sampling); all
-statistics run when a window of sampled rows fills, so a
-drift-instrumented guard stays within a few percent of bare-guard
-throughput (``benchmarks/test_drift_overhead.py`` enforces <10%).
+The per-row cost is one :meth:`DriftDetector.observe` call and a
+countdown decrement, plus one list append on every
+``sample_every``-th row (the detectors evaluate a 1-in-k systematic
+sample of the stream; k=1 disables sampling); all statistics run when
+a window of sampled rows fills, so a drift-instrumented guard stays
+within a few percent of bare-guard throughput
+(``benchmarks/test_drift_overhead.py`` enforces <10%).
 
     detector = DriftDetector.from_training(train, program=guard.program)
     guard = gr.guard()
@@ -139,6 +140,15 @@ class DriftDetector:
         spans ``window * sample_every`` raw rows.  The default of 8
         keeps a drift-instrumented guard well inside the <10% overhead
         budget; set 1 for full-fidelity monitoring of slow streams.
+        It may be changed between calls (the serving layer widens it
+        under brownout); the next sampled row follows the new value.
+
+    Three feeding paths share one 1-in-k countdown, which carries
+    across calls and between paths: :meth:`observe` (one vetted row —
+    what :meth:`repro.errors.Guard.check` calls), :meth:`observe_batch`
+    (a micro-batch — :meth:`repro.errors.Guard.check_batch`) and
+    :meth:`scan` (a whole vetted relation).  Any split of a stream
+    across them samples the same rows and leaves the same state.
     """
 
     def __init__(
@@ -235,37 +245,21 @@ class DriftDetector:
     # ------------------------------------------------------------------
 
     def observe(self, row: Mapping[str, Hashable], ok: bool) -> None:
-        """Feed one vetted row; a countdown decrement on the hot path."""
+        """Feed one vetted row (the ``Guard.check`` path).
+
+        :meth:`_countdown` and :meth:`_buffer` for one row, inlined
+        because this runs once per checked row: a skipped row costs
+        one decrement.
+        """
         tick = self._tick - 1
         if tick > 0:
             self._tick = tick
             return
         self._tick = self.sample_every
-        self.ingest(row, ok)
-
-    def ingest(self, row: Mapping[str, Hashable], ok: bool) -> None:
-        """Buffer one *already-sampled* row (no countdown).
-
-        The streaming guard inlines the 1-in-k countdown itself
-        (so skipped rows never pay a method call) and hand every k-th
-        verdict here; external feeders should call :meth:`observe`.
-        """
         rows = self._rows
         rows.append(row)
         self._oks.append(ok)
         if len(rows) >= self.window:
-            self._evaluate_window()
-
-    def ingest_many(
-        self,
-        rows: Sequence[Mapping[str, Hashable]],
-        oks: Sequence[bool],
-    ) -> None:
-        """Buffer a slice of *already-sampled* rows (no countdown)."""
-        buffer = self._rows
-        buffer.extend(rows)
-        self._oks.extend(oks)
-        if len(buffer) >= self.window:
             self._evaluate_window()
 
     def observe_batch(
@@ -280,19 +274,45 @@ class DriftDetector:
         row-at-a-time path would.
         """
         n = len(rows)
-        if n == 0:
-            return
-        k = self.sample_every
+        start = self._countdown(n)
+        if start < n:
+            k = self.sample_every
+            self._buffer(rows[start::k], oks[start::k])
+
+    def _countdown(self, n: int) -> int:
+        """Advance the 1-in-k sampling countdown over the next ``n`` rows.
+
+        Returns the offset of the first sampled row among them (every
+        ``sample_every``-th row after it is sampled too), or ``n`` when
+        none is.  :meth:`observe_batch` and :meth:`scan` sample through
+        here and :meth:`observe` inlines the one-row case, so every
+        feeding path picks the same rows of a stream, and a changed
+        :attr:`sample_every` (brownout widening) takes effect at the
+        next sampled row.
+        """
         start = self._tick - 1
         if start >= n:
             self._tick -= n
-            return
-        last = start + ((n - 1 - start) // k) * k
-        self._tick = last + k - n + 1
-        if k == 1:
-            self.ingest_many(rows, oks)
-        else:
-            self.ingest_many(rows[start::k], oks[start::k])
+            return n
+        self._tick = self.sample_every - (n - 1 - start) % self.sample_every
+        return start
+
+    def _buffer(
+        self,
+        rows: Sequence[Mapping[str, Hashable]],
+        oks: Sequence[bool],
+    ) -> None:
+        """Buffer already-sampled rows, evaluating each window when it
+        holds exactly ``window`` rows, however the rows arrive."""
+        room = self.window - len(self._rows)
+        while len(rows) >= room:
+            self._rows.extend(rows[:room])
+            self._oks.extend(oks[:room])
+            self._evaluate_window()
+            rows, oks = rows[room:], oks[room:]
+            room = self.window
+        self._rows.extend(rows)
+        self._oks.extend(oks)
 
     def scan(self, relation: Relation, oks: Sequence[bool], pool=None) -> None:
         """Feed a whole vetted relation through the detector in one call.
@@ -318,28 +338,22 @@ class DriftDetector:
             raise ValueError(
                 f"oks has {len(oks)} entries for {n} rows"
             )
-        if n == 0:
+        start = self._countdown(n)
+        if start == n:
             return
-        k = self.sample_every
-        start = self._tick - 1
-        if start >= n:
-            self._tick -= n
-            return
-        last = start + ((n - 1 - start) // k) * k
-        self._tick = last + k - n + 1
-        sampled = np.arange(start, n, k)
+        sampled = np.arange(start, n, self.sample_every)
         oks = np.asarray(oks, dtype=bool)
         pool = as_pool(pool)
 
         def feed(indices: np.ndarray) -> None:
-            self.ingest_many(
+            self._buffer(
                 [relation.row(int(i)) for i in indices],
                 list(oks[indices]),
             )
 
-        # The partially-filled buffer (rows from earlier observe/ingest
-        # calls) completes its window serially; every later boundary is
-        # then window-aligned over the sampled indices.
+        # The partially-filled buffer (rows from earlier observe calls)
+        # completes its window serially; every later boundary is then
+        # window-aligned over the sampled indices.
         buffered = len(self._rows)
         cursor = 0
         if buffered:

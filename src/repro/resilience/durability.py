@@ -922,15 +922,11 @@ def fold_runtime_state(
         elif kind == "quarantine_push":
             config = tenant.get("config", {})
             capacity = int(config.get("quarantine_capacity", 1024))
-            overflow = config.get("quarantine_overflow", "drop_oldest")
             quarantine = tenant["quarantine"]
-            if len(quarantine) < capacity:
-                quarantine.append(data.get("row"))
-            else:
+            if len(quarantine) >= capacity:
                 tenant["quarantine_dropped"] += 1
-                if overflow == "drop_oldest":
-                    quarantine.pop(0)
-                    quarantine.append(data.get("row"))
+                quarantine.pop(0)
+            quarantine.append(data.get("row"))
         elif kind == "quarantine_drain":
             tenant["quarantine"] = []
         elif kind == "drift_rebase":

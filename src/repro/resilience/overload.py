@@ -14,16 +14,17 @@ admission pipeline, in the order a request meets them:
   lockstep.
 * request **deadlines** — the serve layer stamps ``deadline_ms`` onto
   queued requests; :func:`expired` is the one shared predicate that
-  decides, against :class:`SteadyClock` time, whether a request's
-  budget is already gone (shed at dequeue, no guard work wasted).
+  decides, against :class:`~repro.obs.SteadyClock` time (the clock
+  obs events are stamped with), whether a request's budget is already
+  gone (shed at dequeue, no guard work wasted).
 * :class:`FairShareLimiter` — a server-wide concurrency budget split
   across tenants by weighted shares, work-conserving: a tenant may
   always use its guaranteed slice, and may exceed it only while the
   server as a whole has headroom, so one noisy tenant cannot starve
   the rest.
 * :class:`BrownoutController` — graceful *degradation tiers* with
-  hysteresis: sustained pressure steps the server down (parallel
-  predict → blocking, drift sampling widened, obs events shed), a
+  hysteresis: sustained pressure steps the server down (tier 1:
+  parallel predict → blocking; tier 2: drift sampling widened too), a
   cool period steps it back up, and every transition is journaled as
   a control-plane event before it activates.
 
@@ -36,52 +37,20 @@ batcher, and the chaos harness's ``overload`` family
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass
 from typing import Callable
 
-
-class SteadyClock:
-    """A wall-anchored monotonic clock: one source for stamps *and* spans.
-
-    ``time.time()`` can step backwards under NTP corrections, which
-    makes it unusable for durations — yet event timestamps need wall
-    meaning.  ``SteadyClock`` anchors a ``perf_counter`` origin to the
-    wall clock once, at construction: :meth:`now` returns
-    wall-meaningful timestamps that can never go backwards, and
-    :meth:`monotonic` returns the raw monotonic reading for interval
-    arithmetic (queue sojourns, deadlines).  Because both come from
-    the same counter, a duration computed from two :meth:`now` stamps
-    equals the same duration computed from :meth:`monotonic` — the
-    single-clock-source property the serving layer's ``queued_ms``
-    accounting and obs-event stamping share.
-    """
-
-    def __init__(self) -> None:
-        self._anchor = time.time()
-        self._origin = time.perf_counter()
-
-    def monotonic(self) -> float:
-        """Seconds on the monotonic axis (for intervals and deadlines)."""
-        return time.perf_counter()
-
-    def now(self) -> float:
-        """A wall-meaningful timestamp that can never step backwards."""
-        return self._anchor + (time.perf_counter() - self._origin)
-
-
-STEADY_CLOCK = SteadyClock()
-"""The process-wide clock the serving layer stamps with.  One shared
-instance so every subsystem's timestamps are mutually ordered."""
+from ..obs.trace import STEADY_CLOCK, SteadyClock
 
 
 def expired(deadline_at: "float | None", now: float) -> bool:
     """Is a request's deadline already behind ``now``?
 
-    ``deadline_at`` is an absolute :meth:`SteadyClock.monotonic`
-    instant (None = no deadline); the serve layer calls this at
-    admission, at dequeue, and during the shutdown drain so every
-    layer applies the identical predicate.
+    ``deadline_at`` is an absolute
+    :meth:`~repro.obs.SteadyClock.monotonic` instant (None = no
+    deadline); the serve layer calls this at admission, at dequeue,
+    and during the shutdown drain so every layer applies the identical
+    predicate.
     """
     return deadline_at is not None and now > deadline_at
 
@@ -297,7 +266,8 @@ class BrownoutConfig:
     both directions so the controller cannot oscillate within a single
     pressure spike.  ``max_tier`` bounds how far service degrades;
     ``drift_widen_factor`` is the multiplier applied to drift-detector
-    sampling at tier >= 2.
+    sampling at tier >= 2, where the serve layer applies it to every
+    tenant's attached :class:`~repro.resilience.DriftDetector`.
     """
 
     step_down_after: int = 3
@@ -320,16 +290,19 @@ class BrownoutController:
 
     Tier 0 is full service.  Each step down sheds one class of
     optional work — the serve layer maps tiers to effects through the
-    :attr:`degrade_parallel`, :attr:`drift_widen_factor`, and
-    :attr:`shed_observability` properties:
+    :attr:`degrade_parallel` and :attr:`drift_widen_factor`
+    properties:
 
     ======  ==========================================================
     tier 0  full service
     tier 1  parallel predict races downgrade to blocking (the model
             stage stops burning cycles on rows the guard will void)
-    tier 2  drift sampling widened (1-in-k times the configured
-            factor) and buffered obs events sampled 1-in-8
+    tier 2  drift sampling widened too: each tenant's detector samples
+            1-in-(k x ``drift_widen_factor``) served rows
     ======  ==========================================================
+
+    Obs counters are never shed: with tracing on, every served event
+    is counted once, at every tier.
 
     Transitions are driven by :meth:`observe` — one call per flush
     with that moment's overload signal — and follow the hysteresis in
@@ -439,11 +412,6 @@ class BrownoutController:
         if self.tier >= 2:
             return self.config.drift_widen_factor
         return 1
-
-    @property
-    def shed_observability(self) -> bool:
-        """Should buffered obs events be sampled instead of kept?"""
-        return self.tier >= 2
 
     def snapshot(self) -> dict:
         """Tier, peak tier, and transition count as a plain dict."""

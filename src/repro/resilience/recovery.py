@@ -6,8 +6,9 @@ healthy state:
 
     detect → quarantine → re-synthesize → validate → swap → (rollback)
 
-* :class:`QuarantineBuffer` — a bounded buffer for suspect rows with a
-  stated overflow policy, so a drifting stream cannot exhaust memory;
+* :class:`QuarantineBuffer` — a bounded buffer for suspect rows that
+  drops its oldest row when full, so a drifting stream cannot exhaust
+  memory;
 * :class:`GuardrailVersions` — a versioned holder for the live
   :class:`~repro.synth.Guardrail`: candidate programs are swapped in
   **atomically** (one reference assignment), every prior version is
@@ -50,37 +51,24 @@ from .budget import Budget
 from .drift import DriftAlert, DriftDetector
 from .policy import GuardPolicy
 
-OVERFLOW_POLICIES = ("drop_oldest", "drop_newest")
-"""Supported :class:`QuarantineBuffer` overflow policies."""
-
-
 class QuarantineBuffer:
     """A bounded holding pen for rows the guard flagged during drift.
 
     Parameters
     ----------
     capacity:
-        Maximum rows held; pushes beyond it apply ``overflow``.
-    overflow:
-        ``"drop_oldest"`` (default: the buffer is a sliding window of
-        the most recent suspects) or ``"drop_newest"`` (the buffer
-        preserves the first evidence of the incident).
+        Maximum rows held; a push beyond it drops the oldest row, so
+        the buffer is a sliding window of the most recent suspects.
 
     Pushes are atomic (internal lock), so concurrent producers — the
     serving layer quarantines from many in-flight requests — can never
     overshoot ``capacity`` or drop a row while under it.
     """
 
-    def __init__(self, capacity: int = 1024, overflow: str = "drop_oldest"):
+    def __init__(self, capacity: int = 1024):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
-        if overflow not in OVERFLOW_POLICIES:
-            raise ValueError(
-                f"unknown overflow policy {overflow!r}; expected one of "
-                + ", ".join(OVERFLOW_POLICIES)
-            )
         self.capacity = int(capacity)
-        self.overflow = overflow
         self.dropped = 0
         self._rows: deque = deque()
         self._lock = threading.Lock()
@@ -118,10 +106,8 @@ class QuarantineBuffer:
                 rows.append(row)
                 return True
             self.dropped += 1
-            if self.overflow == "drop_oldest":
-                rows.popleft()
-                rows.append(row)
-            # drop_newest: the incoming row is the casualty.
+            rows.popleft()
+            rows.append(row)
         if obs.enabled():
             obs.count("recovery.quarantine.dropped")
         return False
@@ -145,16 +131,11 @@ class QuarantineBuffer:
         Used when rebuilding a tenant from the durability journal:
         the rows were already journaled once, so this bypasses
         :meth:`push` (and its journal hook) to avoid re-committing
-        them.  Overflow still applies.
+        them.  Past ``capacity`` the oldest rows still drop.
         """
         with self._lock:
             self._rows.clear()
-            for row in rows:
-                if len(self._rows) < self.capacity:
-                    self._rows.append(row)
-                elif self.overflow == "drop_oldest":
-                    self._rows.popleft()
-                    self._rows.append(row)
+            self._rows.extend(list(rows)[-self.capacity :])
             self.dropped = int(dropped)
 
     def __len__(self) -> int:
@@ -446,9 +427,8 @@ class SupervisorConfig:
     history_rows:
         Recent raw rows kept as re-synthesis material (a sliding
         window over the *current* distribution).
-    quarantine_capacity / quarantine_overflow:
-        Bounds of the suspect-row buffer (see
-        :class:`QuarantineBuffer`).
+    quarantine_capacity:
+        Bound of the suspect-row buffer (see :class:`QuarantineBuffer`).
     min_heal_rows:
         Don't attempt a heal on less history than this.
     heal_budget_seconds / heal_budget_steps:
@@ -470,7 +450,6 @@ class SupervisorConfig:
 
     history_rows: int = 2048
     quarantine_capacity: int = 1024
-    quarantine_overflow: str = "drop_oldest"
     min_heal_rows: int = 128
     heal_budget_seconds: float | None = 10.0
     heal_budget_steps: int | None = 200_000
@@ -554,10 +533,7 @@ class GuardrailSupervisor:
             )
         self.drift = drift
         self.synth_config = synth_config or self.versions.current.config
-        self.quarantine = QuarantineBuffer(
-            self.config.quarantine_capacity,
-            self.config.quarantine_overflow,
-        )
+        self.quarantine = QuarantineBuffer(self.config.quarantine_capacity)
         self.heals: list[HealOutcome] = []
         self.alerts: list[DriftAlert] = []
         self._guard = self.versions.guard()

@@ -29,9 +29,9 @@ import time
 from typing import Callable, Hashable, Mapping
 
 from .. import obs
+from ..obs import STEADY_CLOCK
 from ..resilience import GuardrailVersions
 from ..resilience.overload import (
-    STEADY_CLOCK,
     BrownoutConfig,
     BrownoutController,
     FairShareLimiter,
@@ -696,19 +696,6 @@ class GuardServer:
             name: tenant.metrics.snapshot()
             for name, tenant in self._tenants.items()
         }
-
-    def publish_metrics(self) -> None:
-        """Replay each tenant's buffered service events into the
-        active obs sink, tagged per tenant via the worker-tag protocol
-        of :func:`repro.obs.merge_events` (tenant i → worker i+1), so
-        ``repro obs report`` attributes service counters per tenant.
-        Drains the buffers; a no-op when tracing is disabled."""
-        if not obs.enabled():
-            return
-        for index, tenant in enumerate(self._tenants.values()):
-            events = list(tenant.events)
-            tenant.events.clear()
-            obs.merge_events(events, worker=index + 1)
 
     def _tenant(self, name: str) -> Tenant:
         tenant = self._tenants.get(name)

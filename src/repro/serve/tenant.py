@@ -17,13 +17,12 @@ Each registered tenant owns
   request deadlines expire at dequeue (typed ``EXPIRED``, no guard
   work wasted), and the server-wide fair-share budget keeps one
   noisy tenant from starving the rest;
-* service metrics (:class:`TenantMetrics`) plus an obs-shaped event
-  buffer the server replays into the global sink via
-  :func:`repro.obs.merge_events`, tagged per tenant exactly as the
-  worker pool tags forked workers.  Event timestamps come from the
-  shared :data:`~repro.resilience.overload.STEADY_CLOCK` — the same
-  source as ``queued_ms`` accounting — so they can never step
-  backwards under NTP corrections.
+* service metrics (:class:`TenantMetrics`), the one always-on
+  per-tenant tally.  With tracing on, every serve event is also
+  counted live in the active :mod:`repro.obs` sink, labelled
+  ``tenant=<name>``, once per occurrence; obs stamps it with
+  :data:`~repro.obs.STEADY_CLOCK`, the clock ``queued_ms`` accounting
+  reads, so event time never steps backwards under NTP corrections.
 """
 
 from __future__ import annotations
@@ -33,6 +32,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Mapping
 
+from .. import obs
+from ..obs import STEADY_CLOCK
 from ..resilience import (
     CircuitBreaker,
     GuardrailVersions,
@@ -40,7 +41,6 @@ from ..resilience import (
     ResilientGuard,
 )
 from ..resilience.overload import (
-    STEADY_CLOCK,
     AdmissionController,
     expired as _deadline_expired,
 )
@@ -66,7 +66,6 @@ class TenantMetrics:
     expired: int = 0
     shed_admission: int = 0
     shed_fair_share: int = 0
-    events_shed: int = 0
     errors: int = 0
     degraded: int = 0
     gated: int = 0
@@ -117,7 +116,6 @@ class TenantMetrics:
             "expired": self.expired,
             "shed_admission": self.shed_admission,
             "shed_fair_share": self.shed_fair_share,
-            "events_shed": self.events_shed,
             "errors": self.errors,
             "degraded": self.degraded,
             "gated": self.gated,
@@ -163,9 +161,9 @@ class Tenant:
     """Per-tenant serving state; constructed by ``GuardServer.register``.
 
     Not a public entry point on its own — the server owns the batcher
-    task and the request path — but its :attr:`metrics`,
-    :attr:`versions`, and :attr:`events` are the per-tenant
-    observability surface callers read.
+    task and the request path — but its :attr:`metrics` and
+    :attr:`versions` are the per-tenant observability surface callers
+    read.
     """
 
     def __init__(
@@ -199,7 +197,6 @@ class Tenant:
             capacity=self.config.quarantine_capacity
         )
         self.metrics = TenantMetrics()
-        self.events: deque = deque(maxlen=_LATENCY_WINDOW)
         self.queue: asyncio.Queue = asyncio.Queue(
             maxsize=self.config.queue_size
         )
@@ -212,7 +209,6 @@ class Tenant:
         self.brownout = None
         self.drift = None
         self._drift_base_sample_every: int | None = None
-        self._emit_tick = 0
 
     # ------------------------------------------------------------------
     # Overload wiring (attached by the server at registration).
@@ -228,12 +224,14 @@ class Tenant:
     def attach_drift(self, detector) -> None:
         """Attach a :class:`~repro.resilience.DriftDetector` to the
         tenant's live guard so served checks feed it — and let
-        brownout tier 2 widen its 1-in-k sampling under pressure."""
+        brownout tier 2 widen its 1-in-k sampling under pressure,
+        from the first served row when attached mid-brownout."""
         self.drift = detector
         self._drift_base_sample_every = getattr(
             detector, "sample_every", None
         )
         self.live_guard.attach_drift(detector)
+        self.apply_brownout_effects()
 
     def effective_mode(self) -> ServeMode:
         """The serve mode in force right now: the configured mode,
@@ -536,8 +534,6 @@ class Tenant:
         as a whole feeds its drain-rate estimate and the server-wide
         brownout controller's pressure signal.
         """
-        from .. import obs
-
         now = STEADY_CLOCK.monotonic()
         live = []
         for pending in batch:
@@ -605,12 +601,8 @@ class Tenant:
         if self.brownout is not None:
             self.brownout.observe(self.admission.overloaded)
             self.apply_brownout_effects()
-        # The counter goes through the per-tenant buffer (replayed by
-        # publish_metrics with a worker tag — never emitted live too,
-        # which would double-count); the histogram is live-only since
-        # buffered events carry counters.
-        self.emit("serve.flush", rows=len(live))
         if obs.enabled():
+            self.emit("serve.flush", rows=len(live))
             obs.observe("serve.batch_fill", len(live), tenant=self.name)
 
     def _rectify_one(self, pending) -> None:
@@ -651,33 +643,8 @@ class Tenant:
     # ------------------------------------------------------------------
 
     def emit(self, name: str, value: float = 1, **attrs) -> None:
-        """Buffer one obs-shaped counter event for later merge.
-
-        Events accumulate in :attr:`events` (bounded) regardless of
-        whether global tracing is on; ``GuardServer.publish_metrics``
-        replays them into the active sink via
-        :func:`repro.obs.merge_events` with a per-tenant worker tag.
-        Timestamps come from the shared
-        :data:`~repro.resilience.overload.STEADY_CLOCK` — the same
-        monotonic source ``queued_ms`` accounting uses — so an NTP
-        step can never make event time run backwards, and at brownout
-        tier 2 events are sampled 1-in-8 (the shed count is kept on
-        :attr:`TenantMetrics.events_shed`).
-        """
-        if (
-            self.brownout is not None
-            and self.brownout.shed_observability
-        ):
-            self._emit_tick += 1
-            if self._emit_tick % 8 != 1:
-                self.metrics.events_shed += 1
-                return
-        self.events.append(
-            {
-                "type": "counter",
-                "name": name,
-                "value": value,
-                "ts": STEADY_CLOCK.now(),
-                "attrs": {"tenant": self.name, **attrs},
-            }
-        )
+        """Count one serve event in the active obs sink, labelled with
+        this tenant; a no-op while tracing is off (:attr:`metrics`
+        keeps the always-on tally)."""
+        if obs.enabled():
+            obs.count(name, value, tenant=self.name, **attrs)

@@ -102,6 +102,7 @@ class TestCli:
         Guardrail(GuardrailConfig(epsilon=0.02, min_support=3)).fit(
             city_relation
         ).save(program_path)
+        trace = tmp_path / "serve.jsonl"
         # A one-slot queue under 16 concurrent clients sheds most first
         # attempts; every shed check must be re-sent until served.
         assert main(
@@ -111,12 +112,25 @@ class TestCli:
                 "--clients", "16",
                 "--requests", "3",
                 "--queue-size", "1",
+                "--trace", str(trace),
             ]
         ) == 0
         out = capsys.readouterr().out
         assert "48 requests served across 1 tenants" in out
         resent = re.search(r"(\d+) rejections re-sent", out)
         assert int(resent.group(1)) > 0  # the queue really shed
+        header, tenant_row = out.splitlines()[:2]
+        flushes = int(
+            tenant_row.split()[header.split().index("flushes")]
+        )
+        # The trace counts what the service report counts, and a run
+        # that forked nothing reports no worker processes.
+        assert main(["obs", "report", str(trace)]) == 0
+        report = capsys.readouterr().out
+        assert "merged events from" not in report
+        assert re.search(r"serve\.flush\s+(\d+)", report).group(1) == str(
+            flushes
+        )
 
     def test_datasets_listing(self, capsys):
         assert main(["datasets"]) == 0

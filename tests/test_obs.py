@@ -255,7 +255,7 @@ class TestInstrumentation:
             def __init__(self):
                 self.rows = 0
 
-            def ingest_many(self, rows, oks):
+            def observe_batch(self, rows, oks):
                 self.rows += len(rows)
 
         guard = Guard(city_program)

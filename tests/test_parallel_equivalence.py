@@ -14,9 +14,14 @@ a cache hit would make the comparison vacuous.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
+from repro.dsl import Branch, Condition, Program, Statement
+from repro.errors import Guard
+from repro.errors.stream import _PROBE_MAX_ROWS
 from repro.parallel import WorkerPool, fork_available
 from repro.relation import Relation
 from repro.resilience import Budget
@@ -279,6 +284,53 @@ class TestDriftScanEquivalence:
         assert prints[1] == prints[0]
         assert prints[2] == prints[0]
         assert prints[0][0]  # alerts fired: the property is not vacuous
+
+    def test_guard_row_and_batch_feeds_match_observe(self):
+        """``Guard.check`` row by row, ``Guard.check_batch`` in batches
+        misaligned with ``sample_every`` on both sides of the probe
+        crossover, and ``observe`` with the same verdicts all sample
+        the same rows through the detector's one countdown."""
+        program = Program(
+            (
+                Statement(
+                    ("City",),
+                    "State",
+                    tuple(
+                        Branch(Condition.of(City=city), "State", state)
+                        for city, state in _STATE.items()
+                    ),
+                ),
+            )
+        )
+        train = Relation.from_rows(_rows(1500, 0, seed=2))
+        stream, _ = self._stream()
+        rows = [stream.row(i) for i in range(stream.n_rows)]
+
+        row_guard = Guard(program)
+        row_fed = self._detector(train)
+        row_guard.attach_drift(row_fed)
+        verdicts = [row_guard.check(row) for row in rows]
+
+        batch_guard = Guard(program)
+        batch_fed = self._detector(train)
+        batch_guard.attach_drift(batch_fed)
+        sizes = itertools.cycle(
+            (1, 5, _PROBE_MAX_ROWS, _PROBE_MAX_ROWS + 2, 211)
+        )
+        batch_verdicts, start = [], 0
+        while start < len(rows):
+            end = start + next(sizes)
+            batch_verdicts += batch_guard.check_batch(rows[start:end])
+            start = end
+        assert batch_verdicts == verdicts
+
+        observed = self._detector(train)
+        for row, verdict in zip(rows, verdicts):
+            observed.observe(row, verdict.ok)
+        expected = self._fingerprint(observed)
+        assert expected[0]  # alerts fired: the property is not vacuous
+        assert self._fingerprint(row_fed) == expected
+        assert self._fingerprint(batch_fed) == expected
 
     def test_scan_carries_countdown_across_calls(self):
         train = Relation.from_rows(_rows(1500, 0, seed=2))

@@ -238,10 +238,9 @@ class TestLiveGuardSwapRace:
 
 
 class TestQuarantineCapacityRace:
-    @pytest.mark.parametrize("overflow", ["drop_oldest", "drop_newest"])
-    def test_concurrent_pushes_respect_capacity(self, overflow):
+    def test_concurrent_pushes_respect_capacity(self):
         capacity = 64
-        buffer = QuarantineBuffer(capacity=capacity, overflow=overflow)
+        buffer = QuarantineBuffer(capacity=capacity)
         n_threads, per_thread = 8, 100
 
         def pusher(i: int) -> int:
@@ -261,7 +260,7 @@ class TestQuarantineCapacityRace:
     def test_drop_newest_under_capacity_never_drops(self):
         """dropped stays 0 while pushes fit — the race dropped rows
         even under capacity when the len check went stale."""
-        buffer = QuarantineBuffer(capacity=800, overflow="drop_newest")
+        buffer = QuarantineBuffer(capacity=800)
 
         def pusher(i: int) -> int:
             return sum(

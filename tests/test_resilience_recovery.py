@@ -1,7 +1,7 @@
 """Recovery layer: quarantine, versioned hot-swap, live guard proxies.
 
-Streaming edge cases from the self-healing PR: an empty batch through
-:class:`ResilientGuard`, quarantine-buffer overflow policies, and
+Streaming edge cases of the self-healing loop: an empty batch through
+:class:`ResilientGuard`, quarantine-buffer overflow (drop-oldest), and
 row/batch verdict parity while a hot-swap is in flight.
 """
 
@@ -9,7 +9,6 @@ import pytest
 
 from repro.dsl import Branch, Condition, Program, Statement
 from repro.resilience import (
-    OVERFLOW_POLICIES,
     GuardPolicy,
     GuardrailVersions,
     QuarantineBuffer,
@@ -57,19 +56,11 @@ class TestQuarantineBuffer:
         assert len(buffer) == 0
 
     def test_drop_oldest_keeps_recent_suspects(self):
-        buffer = QuarantineBuffer(capacity=2, overflow="drop_oldest")
+        buffer = QuarantineBuffer(capacity=2)
         buffer.push({"i": 0})
         buffer.push({"i": 1})
         assert not buffer.push({"i": 2})
         assert [row["i"] for row in buffer.peek()] == [1, 2]
-        assert buffer.dropped == 1
-
-    def test_drop_newest_keeps_first_evidence(self):
-        buffer = QuarantineBuffer(capacity=2, overflow="drop_newest")
-        buffer.push({"i": 0})
-        buffer.push({"i": 1})
-        assert not buffer.push({"i": 2})
-        assert [row["i"] for row in buffer.peek()] == [0, 1]
         assert buffer.dropped == 1
 
     def test_dropped_counter_accumulates(self):
@@ -89,11 +80,6 @@ class TestQuarantineBuffer:
     def test_rejects_bad_capacity_and_policy(self):
         with pytest.raises(ValueError, match="capacity"):
             QuarantineBuffer(capacity=0)
-        with pytest.raises(ValueError, match="overflow"):
-            QuarantineBuffer(overflow="explode")
-
-    def test_policy_registry_matches(self):
-        assert set(OVERFLOW_POLICIES) == {"drop_oldest", "drop_newest"}
 
 
 class TestGuardrailVersions:
@@ -192,7 +178,7 @@ class TestLiveGuards:
             def __init__(self):
                 self.seen = []
 
-            def ingest(self, row, ok):
+            def observe(self, row, ok):
                 self.seen.append(ok)
 
         versions = GuardrailVersions(Guardrail.from_program(city_program))

@@ -647,27 +647,37 @@ class TestMetricsAndObs:
         report = render_service_report(server)
         assert "tenant" in report and "a" in report and "TOTAL" in report
 
-    async def test_publish_metrics_tags_tenants_as_workers(self):
+    async def test_trace_counts_match_tenant_metrics(self):
+        """Regression: serve events went through a bounded per-tenant
+        buffer (4 096 events) that ``publish_metrics`` replayed as if
+        forked workers sent it, so a trace lost counts past the bound
+        and reported tenants as worker processes."""
         server = GuardServer()
-        server.register("a", _guardrail(), TenantConfig(max_wait_ms=0.5))
+        server.register(
+            "a", _guardrail(), TenantConfig(queue_size=1, max_wait_ms=50)
+        )
         server.register("b", _guardrail(), TenantConfig(max_wait_ms=0.5))
-        sink = obs.MemorySink()
-        with obs.tracing(sink):
+        with obs.tracing() as sink:
             async with server:
-                await server.check("a", _rows(1)[0])
+                await asyncio.gather(
+                    *(server.check("a", row) for row in _rows(5000))
+                )
                 await server.check("b", _rows(1)[0])
-                server.publish_metrics()
-        events = list(sink.events)
-        flushes = [
-            e for e in events if e.get("name") == "serve.flush"
+        events = sink.events
+        report = obs.ObsReport.from_events(events)
+        metrics = server.tenant("a").metrics
+        assert metrics.rejected > 4096  # more than the old buffer held
+        assert report.counter("serve.rejected") == metrics.rejected
+        counters = [
+            e for e in events
+            if e["type"] == "counter" and e["name"].startswith("serve.")
         ]
-        assert {e.get("worker") for e in flushes} == {1, 2}
-        assert {e["attrs"]["tenant"] for e in flushes} == {"a", "b"}
-        # Buffers drained: publishing again adds nothing.
-        before = len(list(sink.events))
-        with obs.tracing(sink):
-            server.publish_metrics()
-        assert len(list(sink.events)) == before
+        assert all("tenant" in e["attrs"] for e in counters)
+        assert {
+            e["attrs"]["tenant"] for e in counters
+            if e["name"] == "serve.flush"
+        } == {"a", "b"}
+        assert report.workers == ()
 
 
 class TestDriftWiring:

@@ -18,11 +18,13 @@ import pytest
 from repro import obs
 from repro.dsl import Branch, Condition, Program, Statement
 from repro.obs.report import ObsReport, aggregate_overload
+from repro.relation import Relation
 from repro.resilience import (
     STEADY_CLOCK,
     AdmissionController,
     BrownoutConfig,
     BrownoutController,
+    DriftDetector,
     FairShareLimiter,
     SteadyClock,
     recover_runtime_state,
@@ -97,18 +99,22 @@ class TestSteadyClock:
     def test_wall_anchor(self):
         assert SteadyClock().now() == pytest.approx(time.time(), abs=1.0)
 
-    async def test_tenant_events_share_the_steady_clock(self):
-        # Regression for the old `time.time()` stamping: event
-        # timestamps and sojourn accounting must come from the one
-        # shared SteadyClock, so event time is ordered against it.
+    async def test_tenant_events_share_the_steady_clock(self, monkeypatch):
+        # Regression for the old `time.time()` stamping: obs events and
+        # sojourn accounting must come from the one shared SteadyClock,
+        # so event time stays ordered against it even when the wall
+        # clock is stepped back underneath (an NTP correction).
         server = GuardServer()
         server.register("a", _guardrail())
-        async with server:
+        wall = time.time
+        monkeypatch.setattr(time, "time", lambda: wall() - 3600.0)
+        with obs.tracing() as sink:
             before = STEADY_CLOCK.now()
-            await server.check("a", ROW)
+            async with server:
+                await server.check("a", ROW)
             after = STEADY_CLOCK.now()
-        events = list(server.tenant("a").events)
-        assert events
+        events = sink.events
+        assert any(event.get("name") == "serve.flush" for event in events)
         for event in events:
             assert before <= event["ts"] <= after
 
@@ -264,11 +270,9 @@ class TestBrownoutController:
         controller.observe(True, now=0.1)  # tier 1
         assert controller.degrade_parallel
         assert controller.drift_widen_factor == 1
-        assert not controller.shed_observability
         controller.observe(True, now=0.2)
         controller.observe(True, now=0.3)  # tier 2
         assert controller.drift_widen_factor == 6
-        assert controller.shed_observability
 
     def test_journal_before_activation_and_records(self):
         controller = self._controller()
@@ -528,18 +532,36 @@ class TestBrownoutServing:
         assert response.gated
         assert ran == []
 
-    async def test_tier_two_sheds_obs_events(self):
-        server = GuardServer(brownout=self._CONFIG)
+    async def test_tier_two_widens_served_drift_sampling(self):
+        # Regression: the guard kept its own copy of the detector's
+        # sample_every, taken when the detector was attached, so tier
+        # 2's widening never reached served checks (all 80 arrived).
+        server = GuardServer(
+            brownout=BrownoutConfig(
+                step_down_after=1,
+                cool_seconds=60.0,
+                min_dwell_seconds=60.0,
+                drift_widen_factor=4,
+            )
+        )
         server.register("a", _guardrail())
+        detector = DriftDetector(
+            Relation.from_rows([ROW] * 8),
+            window=1000,
+            min_window=1,
+            sample_every=1,
+        )
         async with server:
-            for _ in range(2):
-                server.brownout.observe(True)
+            now = STEADY_CLOCK.monotonic()
+            server.brownout.observe(True, now=now - 60.0)  # 0 -> 1
+            server.brownout.observe(True, now=now)  # 1 -> 2, held 60 s
             assert server.brownout.tier == 2
-            for _ in range(16):
+            server.tenant("a").attach_drift(detector)
+            for _ in range(80):
                 await server.check("a", ROW)
-        metrics = server.tenant("a").metrics
-        assert metrics.events_shed > 0
-        assert len(server.tenant("a").events) < 16
+            assert server.brownout.tier == 2
+        detector.flush()
+        assert detector.stats.rows_observed == 20
 
     async def test_transitions_surface_in_report_and_snapshot(self):
         server = GuardServer(budget=4, brownout=self._CONFIG)
@@ -719,7 +741,6 @@ class TestOverloadObservability:
             async with server:
                 server.brownout.observe(True, now=0.0)
                 await server.check("a", ROW, deadline_ms=0.0)
-                server.publish_metrics()
         report = ObsReport.from_events(sink.events)
         assert report.overload.get("serve.expired") == 1
         assert report.overload.get("serve.brownout_step_down") == 1
