@@ -270,7 +270,8 @@ class CompiledProgram:
     ):
         codecs = dict(codecs or {})
         # Dict-as-ordered-set: collect each literal once, in first-seen
-        # order (stable codes for a given program).
+        # order (stable codes for a given program, and the candidate
+        # values of Guard.rectify's single-cell repairs).
         literals: dict[str, dict[Hashable, None]] = {}
         for statement in program:
             for branch in statement.branches:
@@ -280,9 +281,12 @@ class CompiledProgram:
                 for name, value in branch.condition.atoms:
                     literals.setdefault(name, {})[value] = None
         self.program = program
+        self.literals: dict[str, tuple[Hashable, ...]] = {
+            attr: tuple(values) for attr, values in literals.items()
+        }
         self.codecs: dict[str, Codec] = {
             attr: (codecs.get(attr) or Codec(())).extend(values)
-            for attr, values in literals.items()
+            for attr, values in self.literals.items()
         }
         self.statements: list[CompiledStatement] = []
         for index, statement in enumerate(program):

@@ -8,7 +8,7 @@ satisfies, and the **updated state is threaded** into the statements
 that follow.  Every evaluation path implements this definition:
 
 * **Row semantics** (here): :func:`run_program` / :func:`row_conforms`
-  — the executable reference, also driving rectification.
+  — the executable reference.
 * **Vectorized semantics**: :func:`program_violations` (delegating to
   the compiled kernels of :mod:`repro.dsl.compiled`) — identical
   verdicts, computed over whole relations at once.

@@ -137,26 +137,21 @@ def _rectify(
     statements at once: the shared determinant is the likely culprit,
     not the (correct) dependents.  When no single-cell repair conforms,
     we fall back to the per-statement dependent rewrite ``[[p]]_t``
-    (the case study's iterative process).
+    (the case study's iterative process).  The search runs on the hash
+    tables of one :class:`~repro.errors.Guard` per call, the same
+    repair :meth:`~repro.errors.Guard.rectify` makes per row; its
+    stat-free form adds nothing to the guard's stats and emits no
+    ``guard.*`` record.
     """
-    from ..dsl.semantics import run_program
+    from .stream import Guard
 
-    domains = _program_domains(program)
+    guard = Guard(program, relation.codecs())
     updates: dict[str, dict[int, Hashable]] = {}
     changed: list[tuple[int, str]] = []
-    for row_index in detection.flagged_rows():
-        row = relation.row(int(row_index))
-        repaired = _repair_row(program, row, domains)
-        for name, value in repaired.items():
-            if value != row[name]:
-                updates.setdefault(name, {})[int(row_index)] = value
-                changed.append((int(row_index), name))
-        if not repaired:
-            fixed = run_program(program, row)
-            for name, value in fixed.items():
-                if value != row[name]:
-                    updates.setdefault(name, {})[int(row_index)] = value
-                    changed.append((int(row_index), name))
+    for row_index in detection.flagged_rows().tolist():
+        for name, value in guard._repair(relation.row(row_index)).items():
+            updates.setdefault(name, {})[row_index] = value
+            changed.append((row_index, name))
 
     out = relation
     for name, cells in updates.items():
@@ -168,93 +163,3 @@ def _rectify(
             arr[row_index] = codec.encode_one(value)
         out = out.replace_codes(name, arr)
     return HandlingOutcome(out, detection, Strategy.RECTIFY, changed)
-
-
-def _program_domains(program: Program) -> dict[str, list[Hashable]]:
-    """Candidate repair values per attribute: those the program mentions."""
-    domains: dict[str, dict[Hashable, None]] = {}
-    for statement in program:
-        for branch in statement.branches:
-            domains.setdefault(branch.dependent, {})[branch.literal] = None
-            for name, value in branch.condition.atoms:
-                domains.setdefault(name, {})[value] = None
-    return {name: list(values) for name, values in domains.items()}
-
-
-def _count_violations(program: Program, row: dict) -> int:
-    from ..dsl.semantics import condition_holds
-
-    count = 0
-    for statement in program:
-        for branch in statement.branches:
-            if condition_holds(branch.condition, row) and (
-                row.get(branch.dependent) != branch.literal
-            ):
-                count += 1
-    return count
-
-
-def _count_satisfied(program: Program, row: dict) -> int:
-    """Branches whose condition fires and whose assignment is met."""
-    from ..dsl.semantics import condition_holds
-
-    count = 0
-    for statement in program:
-        for branch in statement.branches:
-            if condition_holds(branch.condition, row) and (
-                row.get(branch.dependent) == branch.literal
-            ):
-                count += 1
-    return count
-
-
-def _repair_row(
-    program: Program,
-    row: dict,
-    domains: dict[str, list[Hashable]],
-) -> dict:
-    """Best single-cell repair of a violating row, or {} if none conforms.
-
-    Candidates are the attributes implicated by the violated branches;
-    ties between conforming repairs prefer dependents (the case-study
-    behaviour) over determinants.
-    """
-    from ..dsl.semantics import condition_holds, run_program
-
-    violated = []
-    for statement in program:
-        for branch in statement.branches:
-            if condition_holds(branch.condition, row) and (
-                row.get(branch.dependent) != branch.literal
-            ):
-                violated.append(branch)
-    if not violated:
-        return {}
-    dependents = {b.dependent for b in violated}
-    candidates = set(dependents)
-    for branch in violated:
-        candidates.update(branch.condition.attributes)
-
-    best: tuple[tuple[int, int, int], str, Hashable] | None = None
-    for name in sorted(candidates):
-        for value in domains.get(name, ()):
-            if value == row.get(name):
-                continue
-            trial = dict(row)
-            trial[name] = value
-            remaining = _count_violations(program, trial)
-            preference = 0 if name in dependents else 1
-            # Prefer repairs that keep the row *covered*: a repair that
-            # merely steers the row outside every branch condition is a
-            # degenerate way to "conform".
-            coverage = _count_satisfied(program, trial)
-            key = (remaining, preference, -coverage)
-            if best is None or key < best[0]:
-                best = (key, name, value)
-    if best is not None and best[0][0] == 0:
-        return {best[1]: best[2]}
-    # No conforming single-cell repair: per-statement dependent rewrite.
-    fixed = run_program(program, row)
-    return {
-        name: value for name, value in fixed.items() if value != row.get(name)
-    }

@@ -42,7 +42,7 @@ from ..dsl import Program
 from ..dsl.compiled import compile_program, compiled_for
 from ..relation import Relation
 from ..relation.encoding import Codec
-from .handle import DataIntegrityError, Strategy, _program_domains, _repair_row
+from .handle import DataIntegrityError, Strategy
 
 _NO_BRANCH = object()
 
@@ -129,7 +129,6 @@ class Guard:
             self._tables.append(
                 (statement.determinants, statement.dependent, table)
             )
-        self._domains: dict[str, list[Hashable]] | None = None
         self.stats = GuardStats()
         self.attach_drift(None)
 
@@ -190,8 +189,8 @@ class Guard:
 
         Returns one :class:`RowVerdict` per input row, in order; both
         paths return the same verdicts.  With tracing enabled a
-        ``guard.batch`` record and a latency sample are emitted per
-        flush.
+        ``guard.batch`` record (with each flagged row's violated
+        attributes) and a latency sample are emitted per flush.
         """
         rows = list(rows)
         traced = obs.enabled()
@@ -210,7 +209,15 @@ class Guard:
             obs.observe(
                 "guard.batch_seconds", time.perf_counter() - start
             )
-            obs.record("guard.batch", n_rows=n, flagged=len(flagged))
+            obs.record(
+                "guard.batch",
+                n_rows=n,
+                flagged=len(flagged),
+                attributes=[
+                    [attribute for attribute, _ in verdict.violations]
+                    for verdict in flagged
+                ],
+            )
         return verdicts
 
     def stream(
@@ -244,13 +251,11 @@ class Guard:
         """
         traced = obs.enabled()
         start = time.perf_counter() if traced else 0.0
-        if self._verdict(row).ok:
+        changes = self._repair(row)
+        if not changes:
             return dict(row)
         self.stats.rows_rectified += 1
-        if self._domains is None:
-            self._domains = _program_domains(self.program)
         repaired = dict(row)
-        changes = _repair_row(self.program, repaired, self._domains)
         repaired.update(changes)
         if traced:
             obs.observe(
@@ -290,7 +295,7 @@ class Guard:
     # ------------------------------------------------------------------
 
     def _verdict(self, row: Mapping[str, Hashable]) -> RowVerdict:
-        """Stat-free per-row vetting (used internally by repair).
+        """Stat-free per-row vetting (also the first step of repair).
 
         Implements the canonical Eqn. 1 semantics: statements probe the
         *threaded* state (an upstream rewrite feeds downstream reads),
@@ -312,6 +317,68 @@ class Guard:
         if not writes or state == dict(row):
             return _CONFORMS
         return RowVerdict(False, tuple(writes))
+
+    def _repair(self, row: Mapping[str, Hashable]) -> dict[str, Hashable]:
+        """Stat-free repair: the cells to change, ``{}`` for a conforming row.
+
+        The candidates are single-cell changes of an attribute that a
+        violated statement implicates (its dependent or a determinant)
+        to a literal the program mentions.  Each is scored with one
+        probe per statement table: a statement whose table holds the
+        trial row's determinant key is violated when the dependent
+        differs from the expected literal and satisfied when it matches
+        (a table holds at most one branch per key).  The best candidate
+        leaves the fewest statements violated; ties prefer a dependent
+        (the case-study behaviour), then the most statements satisfied,
+        since steering the row outside every branch condition is a
+        degenerate way to conform.  When no candidate conforms, the
+        repair is the per-statement dependent rewrite ``[[p]]_t``: the
+        threaded writes :meth:`_verdict` records.
+        """
+        verdict = self._verdict(row)
+        if verdict.ok:
+            return {}
+        dependents: set[str] = set()
+        candidates: set[str] = set()
+        for determinants, dependent, table in self._tables:
+            expected = table.get(
+                tuple(row.get(d) for d in determinants), _NO_BRANCH
+            )
+            if expected is not _NO_BRANCH and row.get(dependent) != expected:
+                dependents.add(dependent)
+                candidates.update(determinants)
+        candidates |= dependents
+        best: tuple[tuple[int, int, int], str, Hashable] | None = None
+        for name in sorted(candidates):
+            current = row.get(name)
+            for value in self._compiled.literals[name]:
+                if value == current:
+                    continue
+                trial = dict(row)
+                trial[name] = value
+                violated = satisfied = 0
+                for determinants, dependent, table in self._tables:
+                    expected = table.get(
+                        tuple(trial.get(d) for d in determinants), _NO_BRANCH
+                    )
+                    if expected is _NO_BRANCH:
+                        continue
+                    if trial.get(dependent) == expected:
+                        satisfied += 1
+                    else:
+                        violated += 1
+                key = (violated, 0 if name in dependents else 1, -satisfied)
+                if best is None or key < best[0]:
+                    best = (key, name, value)
+        if best is not None and best[0][0] == 0:
+            return {best[1]: best[2]}
+        fixed = dict(row)
+        fixed.update(verdict.violations)
+        return {
+            name: value
+            for name, value in fixed.items()
+            if value != row.get(name)
+        }
 
     def _verdicts(
         self, rows: list[Mapping[str, Hashable]]

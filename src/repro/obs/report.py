@@ -154,21 +154,30 @@ def render_metrics(events: Iterable[dict]) -> str:
 
 
 def render_guard_dashboard(events: Iterable[dict]) -> str:
-    """The runtime-guard section, built from per-row verdict records."""
+    """The runtime-guard section, built from the per-row
+    ``guard.verdict`` and per-batch ``guard.batch`` records."""
     checked = flagged = rectified = 0
     by_attribute: dict[str, int] = {}
     for event in events:
         kind = event.get("type")
+        if kind == "guard.rectify":
+            rectified += 1
+            continue
         if kind == "guard.verdict":
             checked += 1
+            violated = []
             if not event.get("ok", True):
                 flagged += 1
-                for attribute in event.get("attributes", []):
-                    by_attribute[attribute] = (
-                        by_attribute.get(attribute, 0) + 1
-                    )
-        elif kind == "guard.rectify":
-            rectified += 1
+                violated = [event.get("attributes", [])]
+        elif kind == "guard.batch":
+            checked += int(event.get("n_rows", 0))
+            flagged += int(event.get("flagged", 0))
+            violated = event.get("attributes", [])
+        else:
+            continue
+        for attributes in violated:
+            for attribute in attributes:
+                by_attribute[attribute] = by_attribute.get(attribute, 0) + 1
     if checked == 0 and rectified == 0:
         return "  (no guard activity recorded)"
     rate = flagged / checked if checked else 0.0

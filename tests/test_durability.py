@@ -313,9 +313,6 @@ class TestFoldRuntimeState:
             JournalRecord(5, "quarantine_push", {"tenant": "t", "row": {"a": 1}}),
             JournalRecord(6, "quarantine_push", {"tenant": "t", "row": {"a": 2}}),
             JournalRecord(7, "quarantine_push", {"tenant": "t", "row": {"a": 3}}),
-            JournalRecord(8, "drift_rebase", {
-                "tenant": "t", "baseline_violation_rate": 0.25,
-            }),
         ]
         folded = fold_runtime_state(None, records)
         tenant = folded["tenants"]["t"]
@@ -324,7 +321,6 @@ class TestFoldRuntimeState:
         # capacity 2, drop_oldest: the first push was the casualty
         assert tenant["quarantine"] == [{"a": 2}, {"a": 3}]
         assert tenant["quarantine_dropped"] == 1
-        assert tenant["baseline_violation_rate"] == 0.25
 
     def test_remove_erases_and_later_events_tolerated(self):
         records = [

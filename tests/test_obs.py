@@ -270,6 +270,30 @@ class TestInstrumentation:
         assert 0.0 <= seconds < 1.0
         assert detector.rows == 64
 
+    def test_dashboard_counts_batch_checks(self, city_program):
+        """Regression: the dashboard read only per-row verdict records,
+        so batch-checked traffic (every served request, ``stream``)
+        rendered as "(no guard activity recorded)"."""
+        clean = {
+            "PostalCode": "94704",
+            "City": "Berkeley",
+            "State": "CA",
+            "Country": "USA",
+        }
+        rows = [clean] * 3 + [{**clean, "City": "NewYork"}] * 4 + [
+            {**clean, "Country": "Mars"}
+        ]
+        guard = Guard(city_program)
+        with obs.tracing() as sink:
+            verdicts = guard.check_batch(rows)
+        assert sum(not v.ok for v in verdicts) == 5
+        assert (guard.stats.rows_checked, guard.stats.rows_flagged) == (8, 5)
+        report = obs.render_guard_dashboard(sink.events)
+        assert "rows checked    8" in report
+        assert "rows flagged    5" in report
+        assert "City                           4" in report
+        assert "Country                        1" in report
+
     def test_detect_errors_span(self, city_program, city_relation):
         from repro.errors import detect_errors
 

@@ -16,9 +16,14 @@ included) must produce identical verdicts from:
 
 Any divergence — all-branches vs first-match, branch-local vs threaded
 reads, sentinel aliasing of unseen literals — shows up here as a
-disagreeing row.  Per-row repair is pinned too: ``Guard.rectify`` must
-return the row the relation-level rectify strategy produces.
+disagreeing row.  Repair is pinned too: on every row, ``Guard.rectify``
+and the relation-level rectify strategy must make the same repair as
+the branch-by-branch search over ``condition_holds`` kept below as the
+reference (``_repair_row``), and the cases must reach every kind of
+repair it makes.
 """
+
+from typing import Hashable
 
 import numpy as np
 import pytest
@@ -107,6 +112,134 @@ def _random_case(rng: np.random.Generator):
     return Program(tuple(statements)), relation
 
 
+# ----------------------------------------------------------------------
+# Reference repair: the branch-by-branch search, kept verbatim
+# ----------------------------------------------------------------------
+
+
+def _program_domains(program: Program) -> dict[str, list[Hashable]]:
+    """Candidate repair values per attribute: those the program mentions."""
+    domains: dict[str, dict[Hashable, None]] = {}
+    for statement in program:
+        for branch in statement.branches:
+            domains.setdefault(branch.dependent, {})[branch.literal] = None
+            for name, value in branch.condition.atoms:
+                domains.setdefault(name, {})[value] = None
+    return {name: list(values) for name, values in domains.items()}
+
+
+def _count_violations(program: Program, row: dict) -> int:
+    from repro.dsl.semantics import condition_holds
+
+    count = 0
+    for statement in program:
+        for branch in statement.branches:
+            if condition_holds(branch.condition, row) and (
+                row.get(branch.dependent) != branch.literal
+            ):
+                count += 1
+    return count
+
+
+def _count_satisfied(program: Program, row: dict) -> int:
+    """Branches whose condition fires and whose assignment is met."""
+    from repro.dsl.semantics import condition_holds
+
+    count = 0
+    for statement in program:
+        for branch in statement.branches:
+            if condition_holds(branch.condition, row) and (
+                row.get(branch.dependent) == branch.literal
+            ):
+                count += 1
+    return count
+
+
+def _repair_row(
+    program: Program,
+    row: dict,
+    domains: dict[str, list[Hashable]],
+) -> dict:
+    """Best single-cell repair of a violating row, or {} if none conforms.
+
+    Candidates are the attributes implicated by the violated branches;
+    ties between conforming repairs prefer dependents (the case-study
+    behaviour) over determinants.
+    """
+    from repro.dsl.semantics import condition_holds, run_program
+
+    violated = []
+    for statement in program:
+        for branch in statement.branches:
+            if condition_holds(branch.condition, row) and (
+                row.get(branch.dependent) != branch.literal
+            ):
+                violated.append(branch)
+    if not violated:
+        return {}
+    dependents = {b.dependent for b in violated}
+    candidates = set(dependents)
+    for branch in violated:
+        candidates.update(branch.condition.attributes)
+
+    best: tuple[tuple[int, int, int], str, Hashable] | None = None
+    for name in sorted(candidates):
+        for value in domains.get(name, ()):
+            if value == row.get(name):
+                continue
+            trial = dict(row)
+            trial[name] = value
+            remaining = _count_violations(program, trial)
+            preference = 0 if name in dependents else 1
+            # Prefer repairs that keep the row *covered*: a repair that
+            # merely steers the row outside every branch condition is a
+            # degenerate way to "conform".
+            coverage = _count_satisfied(program, trial)
+            key = (remaining, preference, -coverage)
+            if best is None or key < best[0]:
+                best = (key, name, value)
+    if best is not None and best[0][0] == 0:
+        return {best[1]: best[2]}
+    # No conforming single-cell repair: per-statement dependent rewrite.
+    fixed = run_program(program, row)
+    return {
+        name: value for name, value in fixed.items() if value != row.get(name)
+    }
+
+
+def _reference_repair(
+    program: Program, row: dict, domains
+) -> tuple[dict, str]:
+    """The reference repaired row and the kind of repair that made it.
+
+    A conforming row comes back unchanged (kind ``"none"``).  A flagged
+    one gets ``_repair_row``'s change: ``"dependent"`` or
+    ``"determinant"`` when it is a conforming single-cell repair of
+    that kind of attribute, ``"fallback"`` when it is the ``[[p]]_t``
+    rewrite.  The generated programs give each dependent one statement,
+    so a single-cell fallback is the first violated statement's
+    rewrite: a candidate the search scored, which therefore leaves some
+    branch violated.
+    """
+    from repro.dsl.semantics import condition_holds
+
+    if row_conforms(program, row):
+        return dict(row), "none"
+    changes = _repair_row(program, row, domains)
+    repaired = {**row, **changes}
+    if len(changes) != 1 or _count_violations(program, repaired):
+        return repaired, "fallback"
+    (name,) = changes
+    violated_dependents = {
+        branch.dependent
+        for branch in program.branches
+        if condition_holds(branch.condition, row)
+        and row.get(branch.dependent) != branch.literal
+    }
+    kind = "dependent" if name in violated_dependents else "determinant"
+    return repaired, kind
+
+
 def _batched(check_batch, rows, size):
     """``check_batch`` over consecutive slices of ``size`` rows."""
     return [
@@ -148,6 +281,7 @@ def _guard_paths(program: Program, rows: list) -> dict[str, list]:
 @pytest.mark.parametrize("seed", range(4))
 def test_all_paths_agree_on_random_programs(seed):
     rng = np.random.default_rng(1000 + seed)
+    kinds = dict.fromkeys(("none", "dependent", "determinant", "fallback"), 0)
     for case in range(N_CASES // 4):
         clear_dsl_caches()
         program, relation = _random_case(rng)
@@ -180,13 +314,22 @@ def test_all_paths_agree_on_random_programs(seed):
                 expected_cells
             ), where
 
-        # Per-row repair equals the relation-level rectify strategy.
+        # Both repair entry points make the reference repair: per row,
+        # and relation-level on every row (unflagged ones stay as-is).
+        domains = _program_domains(program)
         rectified = apply_strategy(program, relation, "rectify").relation
         guard = Guard(program)
         for index, row in enumerate(rows):
-            assert guard.rectify(row) == rectified.row(index), (
-                f"rectify row {index}: {context}"
+            want, kind = _reference_repair(program, row, domains)
+            kinds[kind] += 1
+            assert guard.rectify(row) == want, (
+                f"Guard.rectify row {index}: {context}"
             )
+            assert rectified.row(index) == want, (
+                f"apply_strategy rectify row {index}: {context}"
+            )
+    # The cases reach every kind of repair.
+    assert min(kinds.values()) > 0, kinds
 
 
 def test_case_generator_is_exercised():

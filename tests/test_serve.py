@@ -705,3 +705,48 @@ class TestDriftWiring:
         detector.flush()
         # Every served check, and nothing else, was sampled.
         assert detector.stats.rows_observed == 200
+
+    def test_first_drift_window_leaves_scipy_stats_unloaded(self):
+        """Regression: a detector's first window imported scipy.stats
+        (about a second in a fresh interpreter), and on a served tenant
+        that window fills inside a flush, on the event loop."""
+        import os
+        import subprocess
+        import sys
+        import textwrap
+        from pathlib import Path
+
+        import repro
+
+        script = textwrap.dedent(
+            """
+            import sys
+
+            import repro.serve
+            from repro.relation import Relation
+            from repro.resilience import DriftDetector
+
+            berkeley = {"PostalCode": "94704", "City": "Berkeley"}
+            new_york = {"PostalCode": "10001", "City": "NewYork"}
+            detector = DriftDetector(
+                Relation.from_rows([berkeley, new_york] * 32),
+                window=64,
+                min_window=1,
+                sample_every=1,
+            )
+            for _ in range(64):
+                detector.observe(new_york, True)
+            assert detector.stats.windows_evaluated == 1
+            assert "marginal_shift" in {a.kind for a in detector.poll()}
+            assert "scipy.stats" not in sys.modules, "scipy.stats loaded"
+            """
+        )
+        source_root = Path(repro.__file__).resolve().parent.parent
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": str(source_root)},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
