@@ -623,23 +623,12 @@ def _cmd_drift(args: argparse.Namespace) -> int:
             f"version {supervisor.version}"
         )
     else:
-        from .parallel import as_pool
-
-        pool = as_pool(args.workers)
-        if pool is not None and pool.parallel:
-            # Batch path: sharded detection + window-parallel drift
-            # scan; verdicts, alerts, and stats are bit-identical to
-            # the row-at-a-time loop below.
-            mask = guard.check(stream, pool=pool)
-            detector.scan(stream, ~mask, pool=pool)
-            flagged = int(mask.sum())
-        else:
-            stream_guard = guard.guard()
-            stream_guard.attach_drift(detector)
-            flagged = sum(
-                0 if stream_guard.check(row).ok else 1
-                for row in stream.iter_rows()
-            )
+        # One detection pass (sharded by --workers) and one drift scan:
+        # verdicts, alerts, and stats are those of feeding the stream
+        # through guard.guard() row by row with the detector attached.
+        mask = guard.check(stream, pool=args.workers)
+        detector.scan(stream, ~mask)
+        flagged = int(mask.sum())
         detector.flush()
         alerts = detector.poll()
         print(render_drift_report(alerts, detector.stats))

@@ -20,6 +20,7 @@ from typing import Hashable
 
 import numpy as np
 
+from .. import obs
 from ..dsl import Program
 from ..relation import MISSING, Relation
 from .detect import DetectionResult, detect_errors
@@ -141,25 +142,29 @@ def _rectify(
     tables of one :class:`~repro.errors.Guard` per call, the same
     repair :meth:`~repro.errors.Guard.rectify` makes per row; its
     stat-free form adds nothing to the guard's stats and emits no
-    ``guard.*`` record.
+    ``guard.*`` record.  The repair runs under one ``errors.rectify``
+    span.
     """
     from .stream import Guard
 
-    guard = Guard(program, relation.codecs())
-    updates: dict[str, dict[int, Hashable]] = {}
-    changed: list[tuple[int, str]] = []
-    for row_index in detection.flagged_rows().tolist():
-        for name, value in guard._repair(relation.row(row_index)).items():
-            updates.setdefault(name, {})[row_index] = value
-            changed.append((row_index, name))
+    flagged = detection.flagged_rows().tolist()
+    with obs.span("errors.rectify", n_rows=len(flagged)):
+        guard = Guard(program, relation.codecs())
+        updates: dict[str, dict[int, Hashable]] = {}
+        changed: list[tuple[int, str]] = []
+        for row_index in flagged:
+            repair = guard._repair(relation.row(row_index))
+            for name, value in repair.items():
+                updates.setdefault(name, {})[row_index] = value
+                changed.append((row_index, name))
 
-    out = relation
-    for name, cells in updates.items():
-        codec = out.codec(name).extend(cells.values())
-        if codec is not out.codec(name):
-            out = out.align_codecs({name: codec})
-        arr = out.codes(name).copy()
-        for row_index, value in cells.items():
-            arr[row_index] = codec.encode_one(value)
-        out = out.replace_codes(name, arr)
+        out = relation
+        for name, cells in updates.items():
+            codec = out.codec(name).extend(cells.values())
+            if codec is not out.codec(name):
+                out = out.align_codecs({name: codec})
+            arr = out.codes(name).copy()
+            for row_index, value in cells.items():
+                arr[row_index] = codec.encode_one(value)
+            out = out.replace_codes(name, arr)
     return HandlingOutcome(out, detection, Strategy.RECTIFY, changed)

@@ -294,8 +294,12 @@ def observe(name: str, value: float, **attrs) -> None:
     _emit(event)
 
 
-def record(kind: str, **fields) -> None:
-    """Emit a free-form structured event (e.g. a guard verdict)."""
+def record(kind: str, /, **fields) -> None:
+    """Emit a free-form structured event (e.g. a guard verdict).
+
+    ``kind`` is positional-only, so a record may carry a field named
+    ``kind`` of its own (a drift alert's kind).
+    """
     if not _enabled:
         return
     event = {"type": kind, "ts": STEADY_CLOCK.now()}

@@ -1,11 +1,11 @@
 """Sharded multicore execution for synthesis and detection.
 
-The hot paths of the reproduction — compiled detection, PC's level-wise
-CI tests, and drift-window statistics — are embarrassingly parallel over
-row shards or independent work items.  (Algorithm 2's sketch fills are
+The hot paths of the reproduction — compiled detection and PC's
+level-wise CI tests — are embarrassingly parallel over row shards or
+independent work items.  (Algorithm 2's sketch fills are
 not fanned out: they share one statement-level fill cache, and a forked
 worker would refill what the cache already holds.)  This package
-provides the one primitive they all share:
+provides the one primitive they share:
 :class:`WorkerPool`, a fork-based ``multiprocessing`` pool with
 
 * **shared-memory numpy partitions**: workers are forked, so relation
@@ -42,7 +42,7 @@ from .pool import (
     in_worker,
     resolve_workers,
 )
-from .shard import shard_bounds, shard_relation
+from .shard import shard_bounds
 from .supervise import (
     DEFAULT_MAX_RETRIES,
     DEFAULT_TASK_TIMEOUT,
@@ -65,6 +65,5 @@ __all__ = [
     "in_worker",
     "resolve_workers",
     "shard_bounds",
-    "shard_relation",
     "worker_chaos",
 ]

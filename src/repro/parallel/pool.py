@@ -5,10 +5,10 @@ Design notes
 
 **Fork, not spawn.**  Pools are created with the ``fork`` start method,
 so workers inherit the parent's memory copy-on-write: the relation code
-arrays, compiled programs, CI testers, and drift references a stage
-shares with its workers cost nothing to transfer.  Only the per-item
-payloads (shard indices, window indices, pair indices — small integers)
-and the per-item results cross the process boundary via pickle.
+arrays, compiled programs, and CI testers a stage shares with its
+workers cost nothing to transfer.  Only the per-item payloads (shard
+indices, pair indices — small integers) and the per-item results cross
+the process boundary via pickle.
 
 **Shared state by inheritance.**  A stage passes its large read-only
 state via ``map(..., shared=...)``; the pool installs it in a module
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import os
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from .. import obs
 from .supervise import (
@@ -54,7 +54,7 @@ shards, possibly one (see ``docs/PERFORMANCE.md``)."""
 
 
 def get_shared() -> Any:
-    """The state installed by the currently running ``map``/``imap``.
+    """The state installed by the currently running ``map``.
 
     Inside a forked worker this is the parent's ``shared=`` object,
     inherited copy-on-write; on the serial fallback it is the same
@@ -104,10 +104,10 @@ class WorkerPool:
     """A reusable worker-count + shard-size policy for sharded stages.
 
     Instances are cheap value objects: the actual ``multiprocessing``
-    pool is created per ``map``/``imap`` call (fork is fast, and each
-    stage shares different state), so a ``WorkerPool`` can be threaded
-    through a whole pipeline — synthesis, detection, drift — and each
-    stage forks against its own shared state.
+    pool is created per ``map`` call (fork is fast, and each stage
+    shares different state), so a ``WorkerPool`` can be threaded
+    through a whole pipeline — synthesis and detection — and each stage
+    forks against its own shared state.
 
     Parameters
     ----------
@@ -129,7 +129,7 @@ class WorkerPool:
         How many times one item is re-dispatched to workers after a
         fault before degrading to inline serial execution.
 
-    After each ``map``/``imap`` call, :attr:`last_faults` holds the
+    After each ``map`` call, :attr:`last_faults` holds the
     tuple of :class:`~repro.parallel.WorkerFault` incidents the
     supervisor absorbed (empty on a healthy run).
     """
@@ -206,46 +206,6 @@ class WorkerPool:
         if not self.parallel or len(items) <= 1:
             self.last_faults = ()
             return _serial_map(task, items, shared)
-        chunk_size = max(1, len(items) // (self.workers * 4))
-        outs: list = [None] * len(items)
-        for index, payload in self._supervised(items, task, shared, chunk_size):
-            outs[index] = payload
-        return [_merge_out(out) for out in outs]
-
-    def imap(
-        self,
-        task: Callable[[Any], Any],
-        items: Iterable[Any],
-        shared: Any = None,
-    ) -> Iterator[Any]:
-        """Like :meth:`map`, but yields results as they complete **in
-        item order**, so a budget-aware caller can stop consuming early.
-
-        The workers are torn down (shutdown sentinel, bounded join,
-        then kill) whenever the generator ends — normal exhaustion, a
-        consumer that raises mid-iteration, or one that abandons the
-        generator early — so no orphaned fork processes outlive a
-        failed stage.
-        """
-        items = list(items)
-        if not self.parallel or len(items) <= 1:
-            self.last_faults = ()
-            for result in _serial_imap(task, items, shared):
-                yield result
-            return
-        buffered: dict[int, tuple] = {}
-        next_index = 0
-        for index, payload in self._supervised(items, task, shared, 1):
-            buffered[index] = payload
-            while next_index in buffered:
-                yield _merge_out(buffered.pop(next_index))
-                next_index += 1
-
-    def _supervised(
-        self, items: list, task: Callable, shared: Any, chunk_size: int
-    ) -> Iterator[tuple]:
-        """Run the supervised engine, guaranteeing teardown and
-        publishing :attr:`last_faults` however the consumer leaves."""
         faults: list = []
         engine = run_supervised(
             task,
@@ -253,17 +213,20 @@ class WorkerPool:
             shared,
             workers=min(self.workers, len(items)),
             capture=obs.enabled(),
-            chunk_size=chunk_size,
+            chunk_size=max(1, len(items) // (self.workers * 4)),
             task_timeout=self.task_timeout,
             max_retries=self.max_retries,
             max_reforks=self.workers,
             faults=faults,
         )
+        outs: list = [None] * len(items)
         try:
-            yield from engine
+            for index, payload in engine:
+                outs[index] = payload
         finally:
             engine.close()
             self.last_faults = tuple(faults)
+        return [_merge_out(out) for out in outs]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -293,19 +256,6 @@ def _serial_map(
         return [task(item) for item in items]
     finally:
         _WORKER_SHARED = previous
-
-
-def _serial_imap(
-    task: Callable[[Any], Any], items: Sequence[Any], shared: Any
-) -> Iterator[Any]:
-    global _WORKER_SHARED
-    for item in items:
-        previous = _WORKER_SHARED
-        _WORKER_SHARED = shared
-        try:
-            yield task(item)
-        finally:
-            _WORKER_SHARED = previous
 
 
 def as_pool(pool: "WorkerPool | int | None") -> "WorkerPool | None":

@@ -14,8 +14,6 @@ the serial result (see :meth:`CompiledProgram.detect_sharded
 
 from __future__ import annotations
 
-from ..relation import Relation
-
 
 def shard_bounds(
     n_rows: int, n_shards: int, min_rows: int = 1
@@ -47,14 +45,3 @@ def shard_bounds(
         bounds.append((start, stop))
         start = stop
     return bounds
-
-
-def shard_relation(
-    relation: Relation, bounds: list[tuple[int, int]]
-) -> list[Relation]:
-    """Materialize the shard views for precomputed ``bounds``.
-
-    Each shard is a zero-copy :meth:`~repro.relation.Relation.slice_rows`
-    view sharing the parent's column arrays.
-    """
-    return [relation.slice_rows(start, stop) for start, stop in bounds]

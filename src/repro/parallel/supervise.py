@@ -2,8 +2,8 @@
 
 :class:`~repro.parallel.WorkerPool` used to hand its items to a blind
 ``multiprocessing.Pool.map`` — a worker that was OOM-killed or wedged
-left the call blocked forever, taking sharded detection, synthesis, and
-the drift scanner down with it.  This module replaces that collection
+left the call blocked forever, taking sharded detection and synthesis
+down with it.  This module replaces that collection
 loop with a supervised one:
 
 * **Dead-worker detection.**  Each worker gets a private duplex pipe;
@@ -331,8 +331,7 @@ def run_supervised(
         faults.append(fault)
         if obs.enabled():
             obs.count("parallel.worker_faults")
-            # Field named "fault" (not "kind"): obs.record's first
-            # positional parameter already claims that name.
+            # ObsReport reads the fault kind from the "fault" field.
             obs.record(
                 "worker_fault",
                 fault=kind,

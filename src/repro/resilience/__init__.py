@@ -11,7 +11,7 @@ Five pillars keep the pipeline production-safe:
   :class:`CircuitBreaker` with retry/backoff, and a resilient wrapper
   for the streaming guard;
 * :mod:`~repro.resilience.drift` — online :class:`DriftDetector`\\ s
-  (codec-unseen rate, χ²/G² marginal shift, EWMA violation chart)
+  (codec-unseen rate, χ² marginal shift, EWMA violation chart)
   raising typed :class:`DriftAlert`\\ s when the stream leaves the
   training distribution;
 * :mod:`~repro.resilience.recovery` — the :class:`GuardrailSupervisor`

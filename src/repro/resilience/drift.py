@@ -12,7 +12,7 @@ typed :class:`DriftAlert` records:
 * **codec-unseen values** — per attribute, the fraction of window
   values the training codec never saw (a new category or a broken
   upstream feed);
-* **marginal shift** — per attribute, a χ²/G² homogeneity test of the
+* **marginal shift** — per attribute, a χ² homogeneity test of the
   window's value counts against the training-time marginals, reusing
   the contingency-table machinery of :mod:`repro.pgm.independence`;
 * **violation rate** — an EWMA control chart over the guard's own
@@ -47,12 +47,19 @@ import numpy as np
 from scipy import special
 
 from .. import obs
-from ..pgm.independence import _g2_from_table, _x2_from_table
-from ..relation import Relation
+from ..pgm.independence import _x2_from_table
+from ..relation import MISSING, Relation
 from ..relation.encoding import Codec
 
 DRIFT_KINDS = ("unseen_values", "marginal_shift", "violation_rate")
 """Every alert kind a :class:`DriftDetector` can emit."""
+
+EWMA_LAMBDA = 0.05
+"""Smoothing weight of the violation-rate EWMA chart."""
+
+EWMA_SIGMAS = 6.0
+"""Control-limit width of that chart, in asymptotic EWMA standard
+deviations."""
 
 
 @dataclass(frozen=True)
@@ -65,7 +72,7 @@ class DriftAlert:
     """The drifting attribute (None for the program-wide violation
     chart)."""
     statistic: float
-    """The detector's test statistic (rate, χ²/G², or EWMA level)."""
+    """The detector's test statistic (rate, χ², or EWMA level)."""
     threshold: float
     """The limit the statistic crossed."""
     window: int
@@ -121,17 +128,11 @@ class DriftDetector:
     unseen_threshold:
         Window fraction of codec-unseen values (per attribute) that
         raises an ``unseen_values`` alert.
-    ewma_lambda:
-        Smoothing weight of the violation-rate EWMA chart.
-    ewma_sigmas:
-        Control-limit width in asymptotic EWMA standard deviations.
     baseline_violation_rate:
         Expected violation rate on in-distribution data (e.g. the
-        guard's false-flag rate on the training relation); the chart
-        centres on it.
-    method:
-        Marginal test statistic: ``"x2"`` (default) or ``"g2"``,
-        matching :mod:`repro.pgm.independence`.
+        guard's false-flag rate on the training relation); the
+        violation-rate chart (:data:`EWMA_LAMBDA`,
+        :data:`EWMA_SIGMAS`) centres on it.
     min_window:
         Windows smaller than this (e.g. a final partial flush) are not
         evaluated.
@@ -159,10 +160,7 @@ class DriftDetector:
         window: int = 512,
         alpha: float = 1e-4,
         unseen_threshold: float = 0.05,
-        ewma_lambda: float = 0.05,
-        ewma_sigmas: float = 6.0,
         baseline_violation_rate: float = 0.0,
-        method: str = "x2",
         min_window: int = 64,
         sample_every: int = 8,
     ):
@@ -170,18 +168,11 @@ class DriftDetector:
             raise ValueError("window must be >= 1")
         if not 0.0 < alpha < 1.0:
             raise ValueError("alpha must be in (0, 1)")
-        if not 0.0 < ewma_lambda <= 1.0:
-            raise ValueError("ewma_lambda must be in (0, 1]")
-        if method not in ("x2", "g2"):
-            raise ValueError(f"unknown method: {method!r}")
         if sample_every < 1:
             raise ValueError("sample_every must be >= 1")
         self.window = int(window)
         self.alpha = alpha
         self.unseen_threshold = unseen_threshold
-        self.ewma_lambda = ewma_lambda
-        self.ewma_sigmas = ewma_sigmas
-        self.method = method
         self.min_window = min_window
         self.sample_every = int(sample_every)
         self.stats = DriftStats()
@@ -303,7 +294,7 @@ class DriftDetector:
         self._rows.extend(rows)
         self._oks.extend(oks)
 
-    def scan(self, relation: Relation, oks: Sequence[bool], pool=None) -> None:
+    def scan(self, relation: Relation, oks: Sequence[bool]) -> None:
         """Feed a whole vetted relation through the detector in one call.
 
         Exactly equivalent to the row-at-a-time loop
@@ -313,15 +304,11 @@ class DriftDetector:
 
         — the 1-in-k countdown carries in and out, windows evaluate at
         exactly ``window`` sampled rows, and the unevaluated tail stays
-        buffered — but only sampled rows are ever decoded, and the
-        per-window counting fans out across a
-        :class:`repro.parallel.WorkerPool` (``pool``: a pool, a worker
-        count, or ``None``).  Windows reduce in stream order in the
-        parent process, so alerts, EWMA trajectory, and stats are
-        bit-identical to the serial scan at any worker count.
+        buffered — but each full window is counted from the relation's
+        codes (:meth:`_code_counts`).  Only the sampled rows that
+        complete a part-filled buffer, and the tail that stays
+        buffered, are decoded into rows.
         """
-        from ..parallel import as_pool
-
         n = relation.n_rows
         if len(oks) != n:
             raise ValueError(
@@ -332,7 +319,6 @@ class DriftDetector:
             return
         sampled = np.arange(start, n, self.sample_every)
         oks = np.asarray(oks, dtype=bool)
-        pool = as_pool(pool)
 
         def feed(indices: np.ndarray) -> None:
             self._buffer(
@@ -341,32 +327,19 @@ class DriftDetector:
             )
 
         # The partially-filled buffer (rows from earlier observe calls)
-        # completes its window serially; every later boundary is then
-        # window-aligned over the sampled indices.
-        buffered = len(self._rows)
+        # completes its window from decoded rows; every later boundary
+        # is then window-aligned over the sampled indices.
         cursor = 0
-        if buffered:
-            cursor = min(sampled.size, self.window - buffered)
+        if self._rows:
+            cursor = min(sampled.size, self.window - len(self._rows))
             feed(sampled[:cursor])
-        n_groups = (sampled.size - cursor) // self.window
-        groups = [
-            sampled[cursor + g * self.window : cursor + (g + 1) * self.window]
-            for g in range(n_groups)
-        ]
-        if pool is not None and pool.parallel and n_groups > 1:
-            results = pool.imap(
-                _scan_window_job,
-                list(range(n_groups)),
-                shared=(self, relation, groups),
+        stop = cursor + (sampled.size - cursor) // self.window * self.window
+        for low in range(cursor, stop, self.window):
+            window = sampled[low : low + self.window]
+            self._reduce_window(
+                self._code_counts(relation, window), oks[window]
             )
-            for group, counts in zip(groups, results):
-                self._reduce_window(counts, list(oks[group]))
-        else:
-            for group in groups:
-                feed(group)
-        tail = sampled[cursor + n_groups * self.window :]
-        if tail.size:
-            feed(tail)
+        feed(sampled[stop:])
 
     def flush(self) -> None:
         """Evaluate whatever is buffered (e.g. at end-of-stream).
@@ -452,12 +425,12 @@ class DriftDetector:
         per_attribute_counts: Mapping[str, Counter],
         oks: Sequence[bool],
     ) -> None:
-        """Reduce one window's (pre-computed) counts into detector state.
+        """Reduce one window's counts into detector state.
 
-        The counting half (:meth:`_window_counts`) is pure and runs in
-        workers during a parallel :meth:`scan`; everything stateful —
-        EWMA, stats, alert queueing — funnels through here, in window
-        order, in the parent process.
+        The counts come from decoded rows (:meth:`_window_counts`) or
+        from a relation's codes (:meth:`_code_counts`); everything
+        stateful — EWMA, stats, alert queueing — funnels through here,
+        in window order.
         """
         n = len(oks)
         self._update_ewma(oks)
@@ -526,6 +499,34 @@ class DriftDetector:
             for attribute in attributes
         }
 
+    def _code_counts(
+        self, relation: Relation, indices: np.ndarray
+    ) -> dict[str, Counter]:
+        """Per-attribute value counts over the rows at ``indices``,
+        taken from the relation's codes: one ``np.bincount`` per
+        attribute, MISSING dropped.
+
+        The same counts :meth:`_window_counts` takes from the decoded
+        rows; an attribute the relation lacks counts nothing, and a
+        non-categorical one counts its decoded values.
+        """
+        per: dict[str, Counter] = {}
+        for attribute in self._references:
+            if attribute not in relation.schema:
+                per[attribute] = Counter()
+            elif not relation.schema[attribute].is_categorical():
+                per[attribute] = Counter(
+                    relation.value(int(i), attribute) for i in indices
+                )
+            else:
+                codes = relation.codes(attribute)[indices]
+                tally = np.bincount(codes[codes != MISSING])
+                values = relation.codec(attribute).values
+                per[attribute] = Counter(
+                    {values[c]: int(tally[c]) for c in np.flatnonzero(tally)}
+                )
+        return per
+
     def _update_ewma(self, oks: Sequence[bool]) -> None:
         """Advance the violation-rate EWMA over a window of verdicts.
 
@@ -538,7 +539,7 @@ class DriftDetector:
             return
         cached = self._decay.get(n)
         if cached is None:
-            lam = self.ewma_lambda
+            lam = EWMA_LAMBDA
             cached = (
                 (1.0 - lam) ** n,
                 lam * (1.0 - lam) ** np.arange(n - 1, -1, -1),
@@ -559,7 +560,7 @@ class DriftDetector:
         n: int,
         traced: bool,
     ) -> None:
-        """χ²/G² homogeneity of the window counts vs training marginals.
+        """χ² homogeneity of the window counts vs training marginals.
 
         The two-row contingency table (training counts over the codec's
         categories plus an "unseen" bucket vs the window's) goes through
@@ -572,8 +573,7 @@ class DriftDetector:
             if value in ref.codec:
                 window_counts[ref.codec.encode_one(value)] = count
         window_counts[-1] = unseen
-        stat_fn = _x2_from_table if self.method == "x2" else _g2_from_table
-        statistic, dof = stat_fn(table)
+        statistic, dof = _x2_from_table(table)
         if dof == 0 or seen_total < self.min_window:
             return
         # Compare against the cached critical value; the p-value itself
@@ -597,7 +597,7 @@ class DriftDetector:
                     window=n,
                     message=(
                         f"{attribute}: marginal shift "
-                        f"({self.method}={statistic:.1f}, dof={dof}, "
+                        f"(x2={statistic:.1f}, dof={dof}, "
                         f"p={p_value:.2e} < {self.alpha:g})"
                     ),
                 ),
@@ -610,12 +610,9 @@ class DriftDetector:
             return
         mu = max(self.baseline_violation_rate, 1.0 / self.window)
         sigma = math.sqrt(
-            mu
-            * (1.0 - mu)
-            * self.ewma_lambda
-            / (2.0 - self.ewma_lambda)
+            mu * (1.0 - mu) * EWMA_LAMBDA / (2.0 - EWMA_LAMBDA)
         )
-        limit = mu + self.ewma_sigmas * sigma
+        limit = mu + EWMA_SIGMAS * sigma
         if self._ewma > limit:
             self._raise_alert(
                 DriftAlert(
@@ -648,21 +645,6 @@ class DriftDetector:
                 statistic=alert.statistic,
                 threshold=alert.threshold,
             )
-
-
-def _scan_window_job(index: int) -> dict[str, Counter]:
-    """Worker task: decode + count one sampled window of a parallel
-    :meth:`DriftDetector.scan`.
-
-    Reads the fork-inherited ``(detector, relation, groups)`` tuple and
-    returns the pure per-attribute value counts; the parent reduces
-    them in stream order, so no detector state mutates here.
-    """
-    from ..parallel import get_shared
-
-    detector, relation, groups = get_shared()
-    rows = [relation.row(int(i)) for i in groups[index]]
-    return detector._window_counts(rows)
 
 
 def _program_attributes(program) -> list[str]:

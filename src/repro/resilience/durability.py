@@ -95,8 +95,7 @@ class DiskIO:
     All journal appends and snapshot writes go through one shim
     instance, so chaos fault classes (torn writes, disk full) inject
     below the durability logic — exactly where a real kernel would
-    fail — by substituting a subclass via the ``io=`` parameter or
-    :func:`io_shim`.
+    fail — by substituting a subclass with :func:`io_shim`.
     """
 
     def append_bytes(self, path: Path, data: bytes) -> None:
@@ -201,7 +200,7 @@ class FullDiskIO(DiskIO):
 
 
 DEFAULT_IO = DiskIO()
-"""The shim used when no ``io=`` is supplied (module-wide default)."""
+"""The shim durability writes use outside any :func:`io_shim`."""
 
 _ACTIVE_IO: list[DiskIO] = [DEFAULT_IO]
 
@@ -214,11 +213,11 @@ def active_io() -> DiskIO:
 
 @contextmanager
 def io_shim(shim: DiskIO):
-    """Temporarily route default-IO durability writes through ``shim``.
+    """Temporarily route every durability write through ``shim``.
 
-    The chaos harness and the typed-error tests use this to inject
-    disk faults into code paths whose signatures do not thread an
-    ``io=`` (e.g. ``Guardrail.save``)::
+    The one way to plant a disk fault: the chaos harness and the
+    typed-error tests use it for the journal, the snapshot store and
+    every atomic write (e.g. ``Guardrail.save``)::
 
         with io_shim(TornWriteIO(fail_on_append=1)):
             guardrail.save(path)   # raises; the old file is intact
@@ -230,9 +229,7 @@ def io_shim(shim: DiskIO):
         _ACTIVE_IO.pop()
 
 
-def atomic_write_text(
-    path, text: str, io: "DiskIO | None" = None
-) -> None:
+def atomic_write_text(path, text: str) -> None:
     """Write ``text`` to ``path`` atomically (tmp + fsync + rename).
 
     The one shared atomic-write helper every persistence path in the
@@ -241,9 +238,8 @@ def atomic_write_text(
     untouched.
     """
     path = Path(path)
-    shim = io if io is not None else active_io()
     try:
-        shim.write_atomic(path, text.encode("utf-8"))
+        active_io().write_atomic(path, text.encode("utf-8"))
     except OSError as error:
         raise DurabilityError(
             f"cannot write {path} atomically: {error}", path=path
@@ -338,14 +334,8 @@ class WriteAheadJournal:
     exception and never a partial record.
     """
 
-    def __init__(self, path, io: "DiskIO | None" = None):
+    def __init__(self, path):
         self.path = Path(path)
-        self._io = io
-
-    @property
-    def io(self) -> DiskIO:
-        """The shim this journal's writes flow through."""
-        return self._io if self._io is not None else active_io()
 
     def append(self, record: JournalRecord) -> None:
         """Durably append one record (the WAL commit point).
@@ -356,7 +346,7 @@ class WriteAheadJournal:
         :meth:`replay` discards.
         """
         try:
-            self.io.append_bytes(self.path, _frame(record))
+            active_io().append_bytes(self.path, _frame(record))
         except OSError as error:
             if obs.enabled():
                 obs.count("durability.append_errors")
@@ -408,7 +398,7 @@ class WriteAheadJournal:
             replay = self.replay()
         if replay.truncated_tail_bytes and self.path.exists():
             try:
-                self.io.truncate(self.path, replay.valid_bytes)
+                active_io().truncate(self.path, replay.valid_bytes)
             except OSError as error:
                 raise DurabilityError(
                     f"cannot repair journal tail of {self.path}: "
@@ -421,7 +411,7 @@ class WriteAheadJournal:
         """Atomically replace the journal's contents (compaction)."""
         data = b"".join(_frame(record) for record in records)
         try:
-            self.io.write_atomic(self.path, data)
+            active_io().write_atomic(self.path, data)
         except OSError as error:
             raise DurabilityError(
                 f"cannot compact journal {self.path}: {error}",
@@ -445,17 +435,11 @@ class SnapshotStore:
     never correctness.
     """
 
-    def __init__(self, directory, keep: int = 2, io: "DiskIO | None" = None):
+    def __init__(self, directory, keep: int = 2):
         if keep < 1:
             raise ValueError("keep must be >= 1")
         self.directory = Path(directory)
         self.keep = int(keep)
-        self._io = io
-
-    @property
-    def io(self) -> DiskIO:
-        """The shim this store's writes flow through."""
-        return self._io if self._io is not None else active_io()
 
     def _path(self, generation: int) -> Path:
         return self.directory / f"snapshot-{generation:08d}.json"
@@ -493,7 +477,7 @@ class SnapshotStore:
         )
         path = self._path(generation)
         try:
-            self.io.write_atomic(path, payload.encode("utf-8"))
+            active_io().write_atomic(path, payload.encode("utf-8"))
         except OSError as error:
             raise DurabilityError(
                 f"cannot write snapshot generation {generation} to "
@@ -501,7 +485,7 @@ class SnapshotStore:
                 path=path,
             ) from error
         for old in existing[: max(0, len(existing) + 1 - self.keep)]:
-            self.io.remove(self._path(old))
+            active_io().remove(self._path(old))
         return generation
 
     def load_one(self, generation: int) -> tuple[dict, int]:
@@ -609,7 +593,7 @@ class RecoveredState:
         return self.truncated_tail_bytes == 0 and self.rejected_snapshots == 0
 
 
-def recover(state_dir, io: "DiskIO | None" = None) -> RecoveredState:
+def recover(state_dir) -> RecoveredState:
     """Reconstruct committed guard-runtime state from ``state_dir``.
 
     Loads the newest snapshot generation that validates (falling back
@@ -631,9 +615,9 @@ def recover(state_dir, io: "DiskIO | None" = None) -> RecoveredState:
         raise DurabilityError(
             f"no such state directory: {state_dir}", path=state_dir
         )
-    snapshots = SnapshotStore(state_dir, io=io)
+    snapshots = SnapshotStore(state_dir)
     state, snapshot_seq, generation, rejected = snapshots.load_latest()
-    journal = WriteAheadJournal(state_dir / JOURNAL_NAME, io=io)
+    journal = WriteAheadJournal(state_dir / JOURNAL_NAME)
     replay = journal.replay()
     events = [r for r in replay.records if r.seq > snapshot_seq]
     last_seq = events[-1].seq if events else snapshot_seq
@@ -702,10 +686,6 @@ class DurableStateStore:
     snapshot_every:
         Appends between automatic snapshots (None disables; explicit
         :meth:`snapshot` calls still work).
-    keep_snapshots:
-        Snapshot generations retained (>= 2 keeps a fallback).
-    io:
-        The :class:`DiskIO` shim (default: the active module shim).
     state_provider:
         Zero-argument callable returning the full JSON-serializable
         state for automatic snapshots.
@@ -715,8 +695,6 @@ class DurableStateStore:
         self,
         state_dir,
         snapshot_every: "int | None" = 256,
-        keep_snapshots: int = 2,
-        io: "DiskIO | None" = None,
         state_provider=None,
     ):
         if snapshot_every is not None and snapshot_every < 1:
@@ -732,14 +710,9 @@ class DurableStateStore:
             ) from error
         self.snapshot_every = snapshot_every
         self.state_provider = state_provider
-        self._io = io
-        self.journal = WriteAheadJournal(
-            self.state_dir / JOURNAL_NAME, io=io
-        )
-        self.snapshots = SnapshotStore(
-            self.state_dir, keep=keep_snapshots, io=io
-        )
-        self.recovered = recover(self.state_dir, io=io)
+        self.journal = WriteAheadJournal(self.state_dir / JOURNAL_NAME)
+        self.snapshots = SnapshotStore(self.state_dir)
+        self.recovered = recover(self.state_dir)
         self.journal.repair()
         self._seq = self.recovered.last_seq
         self._since_snapshot = self.recovered.replayed_records
@@ -936,7 +909,7 @@ def fold_runtime_state(
     return folded
 
 
-def recover_runtime_state(state_dir, io: "DiskIO | None" = None):
+def recover_runtime_state(state_dir):
     """One-call recovery to folded runtime state.
 
     Returns ``(folded_state, recovered)`` where ``folded_state`` is
@@ -945,5 +918,5 @@ def recover_runtime_state(state_dir, io: "DiskIO | None" = None):
     and ``recovered`` the raw
     :class:`RecoveredState` diagnostics.
     """
-    recovered = recover(state_dir, io=io)
+    recovered = recover(state_dir)
     return fold_runtime_state(recovered.state, recovered.events), recovered

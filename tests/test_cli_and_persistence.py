@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.relation import read_csv, write_csv
+from repro.parallel import fork_available
+from repro.relation import Relation, read_csv, write_csv
+from repro.resilience import DriftDetector, render_drift_report
 from repro.synth import Guardrail, GuardrailConfig
 
 
@@ -165,6 +167,78 @@ class TestCli:
                 ["to-sql", str(program_path), "--mode", mode]
             ) == 0
             assert marker in capsys.readouterr().out
+
+
+_PLACES = {
+    "94704": ("Berkeley", "CA"),
+    "94720": ("Berkeley", "CA"),
+    "10001": ("NewYork", "NY"),
+    "10002": ("NewYork", "NY"),
+    "73301": ("Austin", "TX"),
+}
+
+
+def _places(n: int, seed: int, drift: bool = False) -> Relation:
+    """City rows; with ``drift`` the second half brings a postal code
+    and city the training data never saw, and some corrupted states."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for i in range(n):
+        postal = str(rng.choice(list(_PLACES)))
+        city, state = _PLACES[postal]
+        if drift and i > n // 2 and rng.random() < 0.1:
+            postal, city = "99999", "Atlantis"
+        if drift and rng.random() < 0.02:
+            state = "ZZ"
+        rows.append({"PostalCode": postal, "City": city, "State": state})
+    return Relation.from_rows(rows)
+
+
+class TestCliDrift:
+    def test_drift_report_matches_the_row_by_row_guard(
+        self, tmp_path, capsys
+    ):
+        train_csv, stream_csv = tmp_path / "train.csv", tmp_path / "s.csv"
+        write_csv(_places(1500, seed=1), train_csv)
+        write_csv(_places(40000, seed=2, drift=True), stream_csv)
+        program_path = tmp_path / "prog.dsl"
+        Guardrail(GuardrailConfig(epsilon=0.02, min_support=3)).fit(
+            read_csv(train_csv)
+        ).save(program_path)
+        argv = [
+            "drift", str(train_csv), str(stream_csv),
+            "--program", str(program_path), "--window", "128",
+        ]
+
+        assert main(argv) == 1
+        out = capsys.readouterr().out
+        if fork_available():
+            assert main(argv + ["--workers", "2"]) == 1
+            assert capsys.readouterr().out == out
+
+        # The reference: the stream fed through a row guard with the
+        # detector attached, one row at a time.
+        guard = Guardrail.load(program_path)
+        stream = read_csv(stream_csv)
+        detector = DriftDetector.from_training(
+            read_csv(train_csv), program=guard.program, window=128
+        )
+        row_guard = guard.guard()
+        row_guard.attach_drift(detector)
+        flagged = sum(
+            0 if row_guard.check(row).ok else 1
+            for row in stream.iter_rows()
+        )
+        detector.flush()
+        alerts = detector.poll()
+        assert {alert.kind for alert in alerts} >= {
+            "unseen_values", "marginal_shift"
+        }
+        assert flagged > 0
+        assert out == (
+            f"{render_drift_report(alerts, detector.stats)}\n"
+            f"{flagged} of {stream.n_rows} rows flagged\n"
+        )
 
 
 class TestSqlHaving:

@@ -264,14 +264,6 @@ class TestDurableStateStore:
         _fill(store, n=4)
         assert len(list(state_dir.glob("snapshot-*.json"))) == 1
 
-    def test_explicit_io_wins_over_active_shim(self, tmp_path):
-        store = DurableStateStore(
-            tmp_path / "state", snapshot_every=None, io=DiskIO()
-        )
-        with io_shim(FullDiskIO(capacity_bytes=0)):
-            store.append("swap", tenant="t", version=1, program="p")
-        assert store.last_seq == 1
-
 
 class TestAtomicWriteText:
     def test_failure_keeps_previous_content(self, tmp_path):
@@ -295,8 +287,8 @@ class TestAtomicWriteText:
                 tmp.write_bytes(data[:3])
                 raise OSError(5, "simulated crash mid-write")
 
-        with pytest.raises(DurabilityError):
-            atomic_write_text(path, "replacement", io=TornAtomicIO())
+        with io_shim(TornAtomicIO()), pytest.raises(DurabilityError):
+            atomic_write_text(path, "replacement")
         assert path.read_text(encoding="utf-8") == "original"
 
 
@@ -391,11 +383,11 @@ class TestRecoveryObservability:
 class TestTornWriteShim:
     def test_tears_exactly_once(self, tmp_path):
         path = tmp_path / "j.log"
-        shim = TornWriteIO(fail_on_append=2, keep_bytes=4)
-        journal = WriteAheadJournal(path, io=shim)
-        journal.append(JournalRecord(1, "k", {}))
-        with pytest.raises(DurabilityError):
-            journal.append(JournalRecord(2, "k", {}))
+        journal = WriteAheadJournal(path)
+        with io_shim(TornWriteIO(fail_on_append=2, keep_bytes=4)):
+            journal.append(JournalRecord(1, "k", {}))
+            with pytest.raises(DurabilityError):
+                journal.append(JournalRecord(2, "k", {}))
         replay = journal.replay()
         assert [r.seq for r in replay.records] == [1]
         assert replay.truncated_tail_bytes == 4

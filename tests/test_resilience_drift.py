@@ -9,6 +9,8 @@ statistical assertions are deterministic.
 import numpy as np
 import pytest
 
+from repro import obs
+from repro.obs.report import render_drift_dashboard
 from repro.relation import Relation
 from repro.resilience import (
     DRIFT_KINDS,
@@ -72,6 +74,26 @@ class TestDriftDetector:
             a.attribute for a in alerts if a.kind == "unseen_values"
         }
         assert "PostalCode" in attributes
+
+    def test_traced_alert_is_recorded_with_its_kind(self):
+        """Regression: ``obs.record`` took the record type as a
+        parameter named ``kind``, so a traced alert (which records its
+        own ``kind=``) raised TypeError inside the detector."""
+        rng = np.random.default_rng(1)
+        detector = DriftDetector(
+            _training(rng), window=128, sample_every=1
+        )
+        burst = dict(_WORLD)
+        burst["02139"] = ("Cambridge", "MA")
+        with obs.tracing() as sink:
+            for row in _rows(burst, 256, rng):
+                detector.observe(row, True)
+        records = [e for e in sink.events if e["type"] == "drift.alert"]
+        assert len(records) == detector.stats.total_alerts > 0
+        assert {e["kind"] for e in records} == {
+            a.kind for a in detector.poll()
+        }
+        assert "unseen_values" in render_drift_dashboard(sink.events)
 
     def test_marginal_shift_alert(self):
         rng = np.random.default_rng(2)
@@ -147,8 +169,6 @@ class TestDriftDetector:
             DriftDetector(training, window=0)
         with pytest.raises(ValueError, match="alpha"):
             DriftDetector(training, alpha=1.5)
-        with pytest.raises(ValueError, match="method"):
-            DriftDetector(training, method="t-test")
         with pytest.raises(ValueError, match="sample_every"):
             DriftDetector(training, sample_every=0)
 

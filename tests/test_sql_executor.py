@@ -228,6 +228,29 @@ class TestMlIntegration:
         assert executor.last_metrics.rows_rectified >= 1
         assert executor.last_metrics.guard_seconds > 0
 
+    def test_guard_repair_runs_under_its_own_span(self, ml_setup):
+        """Relation-level rectify records one ``errors.rectify`` span
+        inside the SQL guard stage, so a trace splits the stage into
+        detection and repair without subtraction."""
+        train, test, model = ml_setup
+        guard = Guardrail(
+            GuardrailConfig(epsilon=0.05, min_support=2, seed=0)
+        ).fit(train)
+        target = guard.program.dependents[0]
+        executor = QueryExecutor(
+            {"t": test.set_cell(0, target, "garbage")}, {"m": model},
+            guardrail=guard, strategy="rectify",
+        )
+        with obs.tracing() as sink:
+            executor.execute("SELECT PREDICT(m) AS p FROM t")
+        repairs = [
+            e for e in sink.events
+            if e["type"] == "span" and e["name"] == "errors.rectify"
+        ]
+        assert len(repairs) == 1
+        assert repairs[0]["path"].endswith("sql.guard/errors.rectify")
+        assert repairs[0]["attrs"]["n_rows"] >= 1
+
     @pytest.mark.skipif(
         not fork_available(), reason="fork start method unavailable"
     )

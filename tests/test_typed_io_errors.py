@@ -249,11 +249,10 @@ class TestDurabilityErrorTyping:
     def test_journal_write_failure_is_typed(self, tmp_path):
         from repro.resilience.durability import JournalRecord
 
-        journal = WriteAheadJournal(
-            tmp_path / "journal.log", io=FullDiskIO(capacity_bytes=0)
-        )
-        with pytest.raises(DurabilityError) as info:
-            journal.append(JournalRecord(seq=1, kind="k", data={}))
+        journal = WriteAheadJournal(tmp_path / "journal.log")
+        with io_shim(FullDiskIO(capacity_bytes=0)):
+            with pytest.raises(DurabilityError) as info:
+                journal.append(JournalRecord(seq=1, kind="k", data={}))
         assert info.value.path == tmp_path / "journal.log"
         assert isinstance(info.value.__cause__, OSError)
 
