@@ -54,10 +54,20 @@ class DecisionTree(Classifier):
         self.min_gain = min_gain
         self._root: _Node | None = None
         self.n_nodes = 0
+        # The fitted tree as parallel node arrays, root first; a leaf's
+        # children are itself, so rows that reach one stay there.
+        self._split_feature = np.zeros(0, dtype=np.intp)
+        self._split_code = np.zeros(0, dtype=np.int32)
+        self._match_child = np.zeros(0, dtype=np.intp)
+        self._rest_child = np.zeros(0, dtype=np.intp)
+        self._prediction = np.zeros(0, dtype=np.int32)
+        self._unseen_to_match = np.zeros(0, dtype=bool)
+        self._steps = 0
 
     def _fit_codes(self, matrix: np.ndarray, labels: np.ndarray) -> None:
         self.n_nodes = 0
         self._root = self._build(matrix, labels, depth=0)
+        self._flatten(self._root)
 
     def _build(
         self, matrix: np.ndarray, labels: np.ndarray, depth: int
@@ -108,33 +118,50 @@ class DecisionTree(Classifier):
         node.majority_branch = "match" if mask.sum() * 2 > n else "rest"
         return node
 
-    def _predict_codes(self, matrix: np.ndarray) -> np.ndarray:
-        if self._root is None:
-            raise ModelError("tree is not fitted")
-        out = np.empty(matrix.shape[0], dtype=np.int32)
-        self._predict_into(self._root, matrix, np.arange(matrix.shape[0]), out)
-        return out
+    def _flatten(self, root: _Node) -> None:
+        nodes = [root]
+        for node in nodes:  # breadth-first: the loop visits what it appends
+            if not node.is_leaf:
+                assert node.match is not None and node.rest is not None
+                nodes += [node.match, node.rest]
+        index = {id(node): i for i, node in enumerate(nodes)}
+        table = [
+            (0, 0, i, i, node.prediction, False)
+            if node.is_leaf
+            else (
+                node.feature,
+                node.code,
+                index[id(node.match)],
+                index[id(node.rest)],
+                node.prediction,
+                node.majority_branch == "match",
+            )
+            for i, node in enumerate(nodes)
+        ]
+        feature, code, match, rest, prediction, unseen_to_match = zip(*table)
+        self._split_feature = np.array(feature, dtype=np.intp)
+        self._split_code = np.array(code, dtype=np.int32)
+        self._match_child = np.array(match, dtype=np.intp)
+        self._rest_child = np.array(rest, dtype=np.intp)
+        self._prediction = np.array(prediction, dtype=np.int32)
+        self._unseen_to_match = np.array(unseen_to_match, dtype=bool)
+        self._steps = self.depth()
 
-    def _predict_into(
-        self,
-        node: _Node,
-        matrix: np.ndarray,
-        rows: np.ndarray,
-        out: np.ndarray,
-    ) -> None:
-        if rows.size == 0:
-            return
-        if node.is_leaf:
-            out[rows] = node.prediction
-            return
-        column = matrix[rows, node.feature]
-        unseen = column == UNSEEN
-        match = (column == node.code) & ~unseen
-        if node.majority_branch == "match":
-            match |= unseen
-        assert node.match is not None and node.rest is not None
-        self._predict_into(node.match, matrix, rows[match], out)
-        self._predict_into(node.rest, matrix, rows[~match], out)
+    def _predict_codes(self, matrix: np.ndarray) -> np.ndarray:
+        rows = np.arange(matrix.shape[0])
+        node = np.zeros(matrix.shape[0], dtype=np.intp)
+        # Every row descends one level per step.  A split's code is
+        # never UNSEEN, so an unseen (or missing) value takes the match
+        # branch only where that branch holds the majority.
+        for _ in range(self._steps):
+            value = matrix[rows, self._split_feature[node]]
+            match = (value == self._split_code[node]) | (
+                (value == UNSEEN) & self._unseen_to_match[node]
+            )
+            node = np.where(
+                match, self._match_child[node], self._rest_child[node]
+            )
+        return self._prediction[node]
 
     def depth(self) -> int:
         """Actual depth of the fitted tree."""

@@ -4,7 +4,9 @@ The paper trains "various ML models (NN, tree-based models, etc.)" via
 autogluon and ensembles them.  :class:`AutoModel` reproduces the shape
 of that pipeline with the substrates in this package: it trains every
 member model, scores each on an internal validation split, and predicts
-by validation-accuracy-weighted voting.
+by validation-accuracy-weighted voting.  Every member reads one shared
+feature code matrix, remapped once per prediction, so members must
+agree on their features and feature codecs.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ class AutoModel(Classifier):
         ]
 
     # AutoModel orchestrates other classifiers, so it overrides fit()
-    # instead of the code-level hooks.
+    # instead of the _fit_codes hook.
     def fit(
         self,
         relation: Relation,
@@ -73,22 +75,30 @@ class AutoModel(Classifier):
         # Adopt the bookkeeping of the best member for codec handling.
         best = int(np.argmax(self.weights))
         reference = self.members[best]
+        for member in self.members:
+            if (
+                member.features != reference.features
+                or member._feature_codecs != reference._feature_codecs
+            ):
+                raise ModelError(
+                    f"{type(member).__name__} was fitted on other features "
+                    f"than {type(reference).__name__}; members share one "
+                    "feature matrix"
+                )
         self.target = reference.target
         self.features = reference.features
         self._feature_codecs = reference._feature_codecs
         self._target_codec = reference._target_codec
         return self
 
-    def predict(self, relation: Relation) -> np.ndarray:
-        """Weighted-vote predictions over the relation's rows."""
-        if not self.members:
-            raise ModelError("AutoModel is not fitted")
-        votes = np.zeros((relation.n_rows, self.n_classes))
+    def _predict_codes(self, matrix: np.ndarray) -> np.ndarray:
+        """Weighted vote of the members over one remapped code matrix."""
+        rows = np.arange(matrix.shape[0])
+        votes = np.zeros((matrix.shape[0], self.n_classes))
         for member, weight in zip(self.members, self.weights):
             if weight <= 0:
                 continue
-            predictions = member.predict(relation)
-            votes[np.arange(relation.n_rows), predictions] += weight
+            votes[rows, member._predict_codes(matrix)] += weight
         return np.argmax(votes, axis=1).astype(np.int32)
 
     def leaderboard(self) -> list[tuple[str, float]]:
@@ -100,7 +110,4 @@ class AutoModel(Classifier):
         return sorted(rows, key=lambda row: -row[1])
 
     def _fit_codes(self, matrix, labels):  # pragma: no cover - unused
-        raise NotImplementedError
-
-    def _predict_codes(self, matrix):  # pragma: no cover - unused
         raise NotImplementedError

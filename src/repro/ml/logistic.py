@@ -27,26 +27,24 @@ class LogisticRegression(Classifier):
         self.learning_rate = learning_rate
         self.n_iterations = n_iterations
         self._weights: np.ndarray | None = None
-        self._offsets: list[int] = []
+        self._offsets = np.zeros(0, dtype=np.int64)
         self._width = 0
 
     def _one_hot(self, matrix: np.ndarray) -> np.ndarray:
         n_rows = matrix.shape[0]
-        out = np.zeros((n_rows, self._width + 1))
+        stride = self._width + 1
+        out = np.zeros((n_rows, stride))
         out[:, -1] = 1.0  # bias
-        for j, offset in enumerate(self._offsets):
-            column = matrix[:, j]
-            valid = column != UNSEEN
-            out[np.nonzero(valid)[0], offset + column[valid]] = 1.0
+        flat = matrix + self._offsets + stride * np.arange(n_rows)[:, None]
+        out.reshape(-1)[flat[matrix != UNSEEN]] = 1.0
         return out
 
     def _fit_codes(self, matrix: np.ndarray, labels: np.ndarray) -> None:
-        self._offsets = []
-        offset = 0
-        for name in self.features:
-            self._offsets.append(offset)
-            offset += self._feature_codecs[name].cardinality
-        self._width = offset
+        cardinalities = [
+            self._feature_codecs[name].cardinality for name in self.features
+        ]
+        self._offsets = np.cumsum([0] + cardinalities[:-1], dtype=np.int64)
+        self._width = sum(cardinalities)
 
         design = self._one_hot(matrix)
         n_rows, n_cols = design.shape
@@ -66,8 +64,9 @@ class LogisticRegression(Classifier):
         self._weights = weights
 
     def _predict_codes(self, matrix: np.ndarray) -> np.ndarray:
-        if self._weights is None:
-            raise ModelError("model is not fitted")
+        # A sum of the weight rows the ones select would skip the dense
+        # design, but BLAS's summation order decides the logits' last
+        # bits, and predictions must not move with them.
         design = self._one_hot(matrix)
         logits = design @ self._weights
         return np.argmax(logits, axis=1).astype(np.int32)

@@ -71,26 +71,18 @@ class Classifier(ABC):
 
     def predict(self, relation: Relation) -> np.ndarray:
         """Predicted target codes (train codec) for every row."""
-        if self.target is None:
-            raise ModelError("model is not fitted")
-        matrix = self._remap(relation)
-        return self._predict_codes(matrix)
+        return self._predict_codes(self._remap(relation))
 
     def predict_values(self, relation: Relation) -> list[object]:
         """Predictions decoded through the training target codec."""
-        assert self._target_codec is not None
-        return [
-            self._target_codec.decode_one(int(code))
-            for code in self.predict(relation)
-        ]
+        values = self._fitted_codec().values
+        return [values[code] for code in self.predict(relation).tolist()]
 
     def accuracy(self, relation: Relation) -> float:
         """Fraction of rows whose target matches the prediction."""
-        assert self.target is not None and self._target_codec is not None
+        codec = self._fitted_codec()
         predicted = self.predict(relation)
-        actual = _remap_column(
-            relation, self.target, self._target_codec
-        )
+        actual = _remap_column(relation, self.target, codec)
         valid = actual != UNSEEN
         if not valid.any():
             return float("nan")
@@ -98,7 +90,15 @@ class Classifier(ABC):
 
     # ------------------------------------------------------------------
 
+    def _fitted_codec(self) -> Codec:
+        """The training target codec; raises :class:`ModelError` before fit."""
+        if self._target_codec is None:
+            raise ModelError("model is not fitted")
+        return self._target_codec
+
     def _remap(self, relation: Relation) -> np.ndarray:
+        """The feature code matrix of ``relation`` in the training code space."""
+        self._fitted_codec()
         columns = [
             _remap_column(relation, name, self._feature_codecs[name])
             for name in self.features
@@ -108,13 +108,11 @@ class Classifier(ABC):
     @property
     def n_classes(self) -> int:
         """Number of target classes."""
-        assert self._target_codec is not None
-        return self._target_codec.cardinality
+        return self._fitted_codec().cardinality
 
     def decode_label(self, code: int) -> object:
         """Map a class code back to the original label value."""
-        assert self._target_codec is not None
-        return self._target_codec.decode_one(int(code))
+        return self._fitted_codec().decode_one(int(code))
 
     # ------------------------------------------------------------------
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import UNSEEN, Classifier, ModelError
+from .model import Classifier, ModelError
 
 
 class NaiveBayes(Classifier):
@@ -20,6 +20,9 @@ class NaiveBayes(Classifier):
             raise ModelError("smoothing must be positive")
         self.smoothing = smoothing
         self._log_prior: np.ndarray | None = None
+        # Per feature, shape (cardinality + 1, n_classes): row ``code``
+        # holds log P(x_j = code | y); the last row, which UNSEEN and
+        # MISSING (both -1) index, is zeros.
         self._log_likelihood: list[np.ndarray] = []
 
     def _fit_codes(self, matrix: np.ndarray, labels: np.ndarray) -> None:
@@ -39,27 +42,26 @@ class NaiveBayes(Classifier):
             valid = column >= 0
             np.add.at(table, (labels[valid], column[valid]), 1.0)
             table /= table.sum(axis=1, keepdims=True)
-            self._log_likelihood.append(np.log(table))
+            self._log_likelihood.append(
+                np.vstack([np.log(table).T, np.zeros(n_classes)])
+            )
+
+    def _scores(self, matrix: np.ndarray) -> np.ndarray:
+        """Unnormalized log posteriors, one row per matrix row."""
+        scores = np.tile(self._log_prior, (matrix.shape[0], 1))
+        for j, table in enumerate(self._log_likelihood):
+            # An unseen or missing code reads the zero row, and adding
+            # 0.0 leaves a score unchanged, so this is bit-identical to
+            # adding the likelihood to the seen codes' rows only.
+            scores += table[matrix[:, j]]
+        return scores
 
     def _predict_codes(self, matrix: np.ndarray) -> np.ndarray:
-        assert self._log_prior is not None
-        n_rows = matrix.shape[0]
-        scores = np.tile(self._log_prior, (n_rows, 1))
-        for j, table in enumerate(self._log_likelihood):
-            column = matrix[:, j]
-            valid = column != UNSEEN
-            scores[valid] += table[:, column[valid]].T
-        return np.argmax(scores, axis=1).astype(np.int32)
+        return np.argmax(self._scores(matrix), axis=1).astype(np.int32)
 
     def predict_proba(self, relation) -> np.ndarray:
         """Posterior class probabilities per row."""
-        matrix = self._remap(relation)
-        assert self._log_prior is not None
-        scores = np.tile(self._log_prior, (matrix.shape[0], 1))
-        for j, table in enumerate(self._log_likelihood):
-            column = matrix[:, j]
-            valid = column != UNSEEN
-            scores[valid] += table[:, column[valid]].T
+        scores = self._scores(self._remap(relation))
         scores -= scores.max(axis=1, keepdims=True)
         exp = np.exp(scores)
         return exp / exp.sum(axis=1, keepdims=True)

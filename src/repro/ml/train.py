@@ -47,9 +47,9 @@ def misprediction_mask(
     model: Classifier, relation: Relation
 ) -> np.ndarray:
     """Rows where the model's prediction differs from the stored label."""
-    assert model.target is not None and model._target_codec is not None
+    codec = model._fitted_codec()
     predicted = model.predict(relation)
-    actual = _remap_column(relation, model.target, model._target_codec)
+    actual = _remap_column(relation, model.target, codec)
     return predicted != actual
 
 

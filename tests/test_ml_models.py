@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.ml import (
+    UNSEEN,
     AutoModel,
     Classifier,
     DecisionTree,
@@ -11,6 +12,7 @@ from repro.ml import (
     MajorityClass,
     ModelError,
     NaiveBayes,
+    misprediction_mask,
 )
 from repro.pgm import DAG, random_sem
 from repro.relation import Relation
@@ -52,8 +54,22 @@ class TestCommonBehaviour:
 
     def test_unfitted_predict_raises(self, model_cls, dataset):
         _, test = dataset
-        with pytest.raises(ModelError):
-            model_cls().predict(test)
+        assert_unfitted_raises(model_cls(), test)
+
+
+def assert_unfitted_raises(model, relation):
+    """Every entry point of an unfitted model raises ModelError."""
+    entry_points = [
+        model.predict,
+        model.predict_values,
+        model.accuracy,
+        lambda relation: model.n_classes,
+        lambda relation: model.decode_label(0),
+        lambda relation: misprediction_mask(model, relation),
+    ]
+    for call in entry_points:
+        with pytest.raises(ModelError, match="not fitted"):
+            call(relation)
 
 
 class TestLearnedModels:
@@ -95,6 +111,11 @@ class TestNaiveBayes:
     def test_invalid_smoothing(self):
         with pytest.raises(ModelError):
             NaiveBayes(smoothing=0.0)
+
+    def test_unfitted_proba_raises(self, dataset):
+        _, test = dataset
+        with pytest.raises(ModelError, match="not fitted"):
+            NaiveBayes().predict_proba(test)
 
 
 class TestDecisionTree:
@@ -142,8 +163,23 @@ class TestAutoModel:
 
     def test_unfitted_predict_raises(self, dataset):
         _, test = dataset
-        with pytest.raises(ModelError):
-            AutoModel().predict(test)
+        assert_unfitted_raises(AutoModel(), test)
+
+    @pytest.mark.parametrize("refit", ["subset", "codec"])
+    def test_member_with_other_features_rejected(self, refit, dataset):
+        class Stray(NaiveBayes):
+            """Fits one feature only, or a codec with one more value."""
+
+            def fit(self, relation, target, features=None):
+                if refit == "subset":
+                    return super().fit(relation, target, ["x1"])
+                relation = relation.set_cell(0, "x1", "stray-value")
+                return super().fit(relation, target, features)
+
+        train, _ = dataset
+        auto = AutoModel(members=[NaiveBayes(), Stray()])
+        with pytest.raises(ModelError, match="other features"):
+            auto.fit(train, "y")
 
 
 class TestTrainHarness:
@@ -169,3 +205,175 @@ class TestTrainHarness:
         )
         # Flips only happen on corrupted rows.
         assert set(np.nonzero(flips)[0]) <= report.error_rows()
+
+
+# ----------------------------------------------------------------------
+# The inference that predicted from per-model remaps, masked Naive Bayes
+# sums, a recursive tree walk and a per-feature one-hot, kept verbatim as
+# the reference: every prediction and probability must stay bit-identical.
+
+
+def reference_nb_scores(model, matrix):
+    # The reference tables were (n_classes, cardinality): the model's
+    # tables transposed, without their zero row.
+    log_likelihood = [table[:-1].T for table in model._log_likelihood]
+    scores = np.tile(model._log_prior, (matrix.shape[0], 1))
+    for j, table in enumerate(log_likelihood):
+        column = matrix[:, j]
+        valid = column != UNSEEN
+        scores[valid] += table[:, column[valid]].T
+    return scores
+
+
+def reference_nb_proba(model, relation):
+    scores = reference_nb_scores(model, model._remap(relation))
+    scores -= scores.max(axis=1, keepdims=True)
+    exp = np.exp(scores)
+    return exp / exp.sum(axis=1, keepdims=True)
+
+
+def reference_predict_into(node, matrix, rows, out):
+    if rows.size == 0:
+        return
+    if node.is_leaf:
+        out[rows] = node.prediction
+        return
+    column = matrix[rows, node.feature]
+    unseen = column == UNSEEN
+    match = (column == node.code) & ~unseen
+    if node.majority_branch == "match":
+        match |= unseen
+    assert node.match is not None and node.rest is not None
+    reference_predict_into(node.match, matrix, rows[match], out)
+    reference_predict_into(node.rest, matrix, rows[~match], out)
+
+
+def reference_one_hot(model, matrix):
+    n_rows = matrix.shape[0]
+    out = np.zeros((n_rows, model._width + 1))
+    out[:, -1] = 1.0  # bias
+    for j, offset in enumerate(model._offsets):
+        column = matrix[:, j]
+        valid = column != UNSEEN
+        out[np.nonzero(valid)[0], offset + column[valid]] = 1.0
+    return out
+
+
+def reference_predict(model, relation):
+    """Each model remaps ``relation`` itself; an ensemble votes on those."""
+    if isinstance(model, AutoModel):
+        votes = np.zeros((relation.n_rows, model.n_classes))
+        for member, weight in zip(model.members, model.weights):
+            if weight <= 0:
+                continue
+            predictions = reference_predict(member, relation)
+            votes[np.arange(relation.n_rows), predictions] += weight
+        return np.argmax(votes, axis=1).astype(np.int32)
+    matrix = model._remap(relation)
+    if isinstance(model, NaiveBayes):
+        scores = reference_nb_scores(model, matrix)
+        return np.argmax(scores, axis=1).astype(np.int32)
+    if isinstance(model, DecisionTree):
+        out = np.empty(matrix.shape[0], dtype=np.int32)
+        reference_predict_into(
+            model._root, matrix, np.arange(matrix.shape[0]), out
+        )
+        return out
+    if isinstance(model, LogisticRegression):
+        logits = reference_one_hot(model, matrix) @ model._weights
+        return np.argmax(logits, axis=1).astype(np.int32)
+    assert isinstance(model, MajorityClass)
+    return model.predict(relation)
+
+
+def _differential_models():
+    return [
+        NaiveBayes(),
+        NaiveBayes(smoothing=0.25),
+        DecisionTree(),
+        DecisionTree(max_depth=3),
+        DecisionTree(min_samples_split=2, min_gain=0.0),
+        LogisticRegression(n_iterations=40),
+        MajorityClass(),
+        AutoModel(),
+        AutoModel(members=[DecisionTree(max_depth=4), NaiveBayes()], seed=3),
+        AutoModel(
+            members=[
+                AutoModel(seed=1),
+                LogisticRegression(n_iterations=20),
+                MajorityClass(),
+            ],
+            seed=2,
+        ),
+    ]
+
+
+def _with_holes(relation, rng, names, n_missing, unseen=()):
+    """``relation`` with MISSING cells and the given unseen values."""
+    for _ in range(n_missing):
+        row = int(rng.integers(relation.n_rows))
+        relation = relation.set_cell(row, str(rng.choice(names)), None)
+    for value in unseen:
+        row = int(rng.integers(relation.n_rows))
+        relation = relation.set_cell(row, str(rng.choice(names)), value)
+    return relation
+
+
+@pytest.fixture(params=range(6))
+def sem_split(request):
+    """A random SEM's relation: train with MISSING features and labels,
+    test with MISSING cells and values no model saw."""
+    rng = np.random.default_rng(1000 + request.param)
+    names = [f"x{i}" for i in range(int(rng.integers(3, 7)))]
+    edges = [(name, "y") for name in names if rng.random() < 0.7]
+    edges += [(names[0], name) for name in names[1:] if rng.random() < 0.3]
+    dag = DAG(names + ["y"], edges or [(names[0], "y")])
+    cardinalities = {name: int(rng.integers(2, 7)) for name in dag.nodes}
+    sem = random_sem(
+        dag, cardinalities, determinism=float(rng.uniform(0.6, 0.95)),
+        rng=rng,
+    )
+    train, test = sem.sample(900, rng).split(0.6, rng)
+    train = _with_holes(train, rng, names + ["y"], 25)
+    unseen = ["never-seen", "never-seen", "garbage-1", 987654]
+    test = _with_holes(test, rng, names, 20, unseen)
+    return train, test
+
+
+class TestInferenceMatchesReference:
+    def test_predictions_are_bit_identical(self, sem_split):
+        train, test = sem_split
+        for model in _differential_models():
+            model.fit(train, "y")
+            for relation in (test, train):
+                expected = reference_predict(model, relation)
+                predicted = model.predict(relation)
+                assert predicted.dtype == expected.dtype
+                assert np.array_equal(predicted, expected), model
+                assert model.predict_values(relation) == [
+                    model.decode_label(code) for code in expected
+                ]
+
+    def test_naive_bayes_proba_is_bit_identical(self, sem_split):
+        train, test = sem_split
+        for smoothing in (1.0, 0.25):
+            model = NaiveBayes(smoothing=smoothing).fit(train, "y")
+            for relation in (test, train):
+                proba = model.predict_proba(relation)
+                expected = reference_nb_proba(model, relation)
+                assert proba.tobytes() == expected.tobytes()
+
+    def test_logistic_design_and_fit_are_bit_identical(self, sem_split):
+        train, test = sem_split
+        model = LogisticRegression(n_iterations=40).fit(train, "y")
+        matrix = model._remap(test)
+        assert (matrix == UNSEEN).any()
+        assert np.array_equal(
+            model._one_hot(matrix), reference_one_hot(model, matrix)
+        )
+        reference = LogisticRegression(n_iterations=40)
+        reference._one_hot = lambda matrix: reference_one_hot(
+            reference, matrix
+        )
+        reference.fit(train, "y")
+        assert model._weights.tobytes() == reference._weights.tobytes()
