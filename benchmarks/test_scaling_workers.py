@@ -1,11 +1,11 @@
-"""Worker-scaling benchmark — sharded detection and parallel synthesis.
+"""Worker-scaling benchmark — parallel synthesis.
 
-The multicore tentpole promises two things at once: **speed** (row
-shards across forked workers) and **bit-identical results** (every
-parallel path reduces in serial order).  This module measures the
-first and asserts the second on the same workload: the 6-attribute
-chain SEM at ``REPRO_SCALE_ROWS_PARALLEL`` rows (default 150 000;
-``REPRO_FULL=1`` runs 1 200 000, the ISSUE-6 acceptance size).
+``synthesize(workers=N)`` promises two things at once: **speed** (PC's
+level-wise CI tests across forked workers) and **bit-identical
+results** (each level reduces in serial job order).  This module
+measures the first and asserts the second on the same workload: the
+6-attribute chain SEM at ``REPRO_SCALE_ROWS_PARALLEL`` rows (default
+150 000; ``REPRO_FULL=1`` runs 1 200 000, the acceptance size).
 
 Speedup assertions only run where they are measurable — a live
 ``>= 2.5x`` at 4 workers needs at least 4 physical cores, so on
@@ -13,7 +13,9 @@ smaller machines the equivalence half still runs and the scaling half
 is recorded but not asserted.  The committed record lives in
 ``BENCH_synth.json`` / ``BENCH_guard.json`` as ``trajectory`` entries
 (see ``benchmarks/README.md`` for the format);
-``REPRO_UPDATE_BENCH=1`` appends this run's measurements.
+``REPRO_UPDATE_BENCH=1`` appends this run's measurements.  Row-sharded
+detection, which ``BENCH_guard.json``'s ``guard_scan_scaling`` entries
+timed, is gone: the serial kernel beat it on 2 vCPUs.
 """
 
 import json
@@ -25,7 +27,6 @@ import numpy as np
 import pytest
 
 from conftest import banner
-from repro.errors import detect_errors
 from repro.parallel import WorkerPool, fork_available
 from repro.pgm import DAG, random_sem, sem_to_program
 from repro.synth import GuardrailConfig, synthesize
@@ -91,65 +92,6 @@ def _append_trajectory(path: Path, entry: dict) -> None:
     path.write_text(json.dumps(payload, indent=2) + "\n")
 
 
-def test_detection_scan_scaling(workload):
-    relation, program = workload
-
-    def fresh():
-        # A new Relation identity over the same (zero-copy) columns:
-        # detection results are memoized per relation, and a cache hit
-        # would time a dict lookup instead of a scan.
-        return relation.slice_rows(0, relation.n_rows)
-
-    detect_errors(program, relation)  # warm the compile cache
-    baseline = detect_errors(program, fresh())
-    serial_s = _best_of(lambda: detect_errors(program, fresh()))
-
-    times = {}
-    for workers in _WORKER_COUNTS:
-        pool = WorkerPool(workers, min_shard_rows=1024)
-        result = detect_errors(program, fresh(), pool=pool)
-        assert np.array_equal(result.row_mask, baseline.row_mask)
-        assert [(v.row, v.attribute) for v in result.violations] == [
-            (v.row, v.attribute) for v in baseline.violations
-        ]
-        times[workers] = _best_of(
-            lambda: detect_errors(program, fresh(), pool=pool)
-        )
-
-    speedup = serial_s / times[4]
-    lines = [f"rows: {relation.n_rows}, cores: {_cores}"]
-    lines.append(f"serial        {serial_s * 1e3:9.1f} ms")
-    for workers, t in times.items():
-        lines.append(
-            f"{workers} worker(s)   {t * 1e3:9.1f} ms   "
-            f"speedup {serial_s / t:.2f}x"
-        )
-    banner("Sharded detection scaling", "\n".join(lines))
-
-    if os.environ.get("REPRO_UPDATE_BENCH") == "1":
-        _append_trajectory(
-            _BENCH_GUARD,
-            {
-                "date": time.strftime("%Y-%m-%d"),
-                "benchmark": "guard_scan_scaling",
-                "cpu_count": _cores,
-                "n_rows": relation.n_rows,
-                "n_attributes": len(relation.names),
-                "serial_s": round(serial_s, 4),
-                "workers_s": {
-                    str(w): round(t, 4) for w, t in times.items()
-                },
-                "speedup_4w": round(speedup, 2),
-                "note": "live run of test_detection_scan_scaling",
-            },
-        )
-    if _live_scaling:
-        assert speedup >= _ACCEPTANCE_SPEEDUP, (
-            f"detection speedup {speedup:.2f}x at 4 workers "
-            f"(need {_ACCEPTANCE_SPEEDUP}x)"
-        )
-
-
 def test_synthesis_scaling(workload):
     relation, _ = workload
     config = GuardrailConfig(epsilon=0.08, min_support=8, seed=5)
@@ -160,7 +102,7 @@ def test_synthesis_scaling(workload):
     synthesize(relation, config)
     serial_s, baseline = _timed(lambda: synthesize(relation, config))
     for workers in _WORKER_COUNTS:
-        pool = WorkerPool(workers, min_shard_rows=1024)
+        pool = WorkerPool(workers)
         synthesize(relation, config, workers=pool)  # warm-up
         times[workers], results[workers] = _timed(
             lambda: synthesize(relation, config, workers=pool)
@@ -254,7 +196,7 @@ def test_supervision_overhead_on_healthy_path():
                 == expected
             )
 
-    supervised_pool = WorkerPool(workers, min_shard_rows=1)
+    supervised_pool = WorkerPool(workers)
 
     def supervised_run():
         assert supervised_pool.map(_supervision_probe, items) == expected
@@ -292,8 +234,8 @@ def test_supervision_overhead_on_healthy_path():
 
 
 def test_recorded_trajectory_meets_acceptance():
-    """The committed record must witness the ISSUE-6 acceptance bar:
-    >= 2.5x at 4 workers on a >= 1M-row synthesis+scan workload."""
+    """The committed record must witness the acceptance bar: >= 2.5x
+    at 4 workers on a >= 1M-row synthesis+scan workload."""
     payload = json.loads(_BENCH_SYNTH.read_text())
     qualifying = [
         entry
@@ -307,7 +249,3 @@ def test_recorded_trajectory_meets_acceptance():
 
     guard_payload = json.loads(_BENCH_GUARD.read_text())
     assert guard_payload["baseline"]  # drift-overhead reference numbers
-    assert any(
-        entry.get("n_rows", 0) >= _ACCEPTANCE_ROWS
-        for entry in guard_payload["trajectory"]
-    )

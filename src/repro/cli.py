@@ -24,10 +24,10 @@ there, and ``--resume PATH`` continues from such a journal;
 ``rectify --guard-policy`` and ``chaos --guard-policy`` select a
 :class:`repro.resilience.GuardPolicy` degradation mode.
 
-``synthesize``, ``check``, ``rectify``, and ``drift`` accept
-``--workers N`` to fork N worker processes for the heavy phases
-(``0`` = one per CPU core); results are bit-identical to a serial run
-(:mod:`repro.parallel`, ``docs/PERFORMANCE.md``).
+``synthesize --workers N`` forks N worker processes for PC's
+level-wise CI tests (``0`` = one per CPU core); the program is
+bit-identical to a serial run (:mod:`repro.parallel`,
+``docs/PERFORMANCE.md``).
 """
 
 from __future__ import annotations
@@ -66,19 +66,16 @@ def build_parser() -> argparse.ArgumentParser:
             help="record a JSONL observability trace of this run",
         )
 
-    def add_workers_flag(command: argparse.ArgumentParser) -> None:
-        command.add_argument(
-            "--workers", type=int, default=1, metavar="N",
-            help="fork N worker processes for the heavy phases "
-            "(0 = one per CPU core, default 1 = serial); results are "
-            "bit-identical to a serial run",
-        )
-
     synth = sub.add_parser(
         "synthesize", help="synthesize a DSL program from a CSV file"
     )
     add_trace_flag(synth)
-    add_workers_flag(synth)
+    synth.add_argument(
+        "--workers", type=int, default=1, metavar="N",
+        help="fork N worker processes for PC's CI tests (0 = one per "
+        "CPU core, default 1 = serial); the program is bit-identical "
+        "to a serial run",
+    )
     synth.add_argument("csv", type=Path, help="input data (CSV with header)")
     synth.add_argument(
         "-o", "--output", type=Path, help="write the program here"
@@ -120,7 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
         "check", help="report rows of a CSV violating a saved program"
     )
     add_trace_flag(check)
-    add_workers_flag(check)
     check.add_argument("program", type=Path, help="saved DSL program")
     check.add_argument("csv", type=Path, help="data to vet")
     check.add_argument(
@@ -132,7 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
         "rectify", help="repair a CSV against a saved program"
     )
     add_trace_flag(rectify)
-    add_workers_flag(rectify)
     rectify.add_argument("program", type=Path)
     rectify.add_argument("csv", type=Path)
     rectify.add_argument(
@@ -253,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(repro.resilience.drift)",
     )
     add_trace_flag(drift)
-    add_workers_flag(drift)
     drift.add_argument(
         "train", type=Path, help="training data the guard was fit on"
     )
@@ -407,7 +401,7 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     program = parse_program(args.program.read_text(encoding="utf-8"))
     relation = read_csv(args.csv)
-    result = detect_errors(program, relation, pool=args.workers)
+    result = detect_errors(program, relation)
     print(
         f"{result.n_flagged_rows} of {relation.n_rows} rows violate "
         f"the constraints"
@@ -424,8 +418,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_rectify(args: argparse.Namespace) -> int:
-    import functools
-
     from .errors import DataIntegrityError
     from .resilience import GuardPolicy, resilient_call
 
@@ -433,7 +425,7 @@ def _cmd_rectify(args: argparse.Namespace) -> int:
     relation = read_csv(args.csv)
     policy = GuardPolicy.parse(args.guard_policy)
     outcome = resilient_call(
-        functools.partial(apply_strategy, pool=args.workers),
+        apply_strategy,
         program,
         relation,
         args.strategy,
@@ -623,10 +615,10 @@ def _cmd_drift(args: argparse.Namespace) -> int:
             f"version {supervisor.version}"
         )
     else:
-        # One detection pass (sharded by --workers) and one drift scan:
-        # verdicts, alerts, and stats are those of feeding the stream
-        # through guard.guard() row by row with the detector attached.
-        mask = guard.check(stream, pool=args.workers)
+        # One detection pass and one drift scan: verdicts, alerts, and
+        # stats are those of feeding the stream through guard.guard()
+        # row by row with the detector attached.
+        mask = guard.check(stream)
         detector.scan(stream, ~mask)
         flagged = int(mask.sum())
         detector.flush()

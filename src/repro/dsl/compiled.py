@@ -399,96 +399,6 @@ class CompiledProgram:
             obs.count("dsl.detect_cache.hit")
         return result
 
-    def detect_sharded(self, relation: Relation, pool) -> KernelResult:
-        """Partition-parallel :meth:`detect` over contiguous row shards.
-
-        The kernel is per-row independent (state threading never crosses
-        rows), so running it per shard and concatenating in shard order
-        reconstructs the serial :class:`KernelResult` **bit-for-bit**:
-        the same ``row_mask``, the same writes (rows offset back to
-        global indices, ascending within each statement), and the same
-        threaded ``final_codes``.  Shards are zero-copy views
-        (:meth:`~repro.relation.Relation.slice_rows`), inherited by the
-        forked workers copy-on-write.
-
-        Falls back to plain :meth:`detect` when the pool's shard policy
-        yields a single shard (small input, ``workers=1``, no fork).
-        The merged result lands in the same per-relation detect cache.
-        """
-        bucket = _DETECT_CACHE.get(relation)
-        if bucket is None:
-            bucket = {}
-            _DETECT_CACHE[relation] = bucket
-        result = bucket.get(self)
-        if result is not None:
-            if obs.enabled():
-                obs.count("dsl.detect_cache.hit")
-            return result
-        bounds = pool.shards_for(relation.n_rows)
-        if len(bounds) <= 1:
-            return self.detect(relation)
-        with obs.span(
-            "dsl.detect_sharded",
-            n_rows=relation.n_rows,
-            n_shards=len(bounds),
-        ):
-            shards = [
-                relation.slice_rows(start, stop) for start, stop in bounds
-            ]
-            parts = pool.map(
-                _detect_shard_job,
-                range(len(shards)),
-                shared=(self, shards),
-            )
-            result = self._merge_shard_results(relation, bounds, parts)
-        result.row_mask.setflags(write=False)
-        bucket[self] = result
-        return result
-
-    def _merge_shard_results(
-        self,
-        relation: Relation,
-        bounds: list[tuple[int, int]],
-        parts: list[tuple],
-    ) -> KernelResult:
-        """Shard-order reduction of per-shard kernel outputs."""
-        row_mask = np.concatenate([mask for mask, _, _ in parts])
-        by_statement: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
-        for (start, _), (_, shard_writes, _) in zip(bounds, parts):
-            for statement_index, rows, branch_indices in shard_writes:
-                by_statement.setdefault(statement_index, []).append(
-                    (rows + start, branch_indices)
-                )
-        writes: list[tuple[CompiledStatement, np.ndarray, np.ndarray]] = []
-        for statement_index in sorted(by_statement):
-            pieces = by_statement[statement_index]
-            writes.append(
-                (
-                    self.statements[statement_index],
-                    np.concatenate([rows for rows, _ in pieces]),
-                    np.concatenate([idx for _, idx in pieces]),
-                )
-            )
-        written = {
-            attribute
-            for _, _, state in parts
-            for attribute in state
-        }
-        final_codes: dict[str, np.ndarray] = {}
-        for attribute in written:
-            segments = []
-            for (start, stop), (_, _, state) in zip(bounds, parts):
-                segment = state.get(attribute)
-                if segment is None:
-                    # This shard never wrote the attribute; its final
-                    # state is the input column.
-                    segment = relation.codes(attribute)[start:stop]
-                segments.append(segment)
-            final_codes[attribute] = np.concatenate(segments)
-        return KernelResult(
-            row_mask=row_mask, writes=writes, final_codes=final_codes
-        )
-
     def run_codes(
         self, codes: Mapping[str, np.ndarray], n_rows: int | None = None
     ) -> KernelResult:
@@ -623,27 +533,6 @@ class CompiledProgram:
             f"CompiledProgram({len(self.statements)} statements, "
             f"{sum(len(s.branches) for s in self.statements)} branches)"
         )
-
-
-def _detect_shard_job(index: int) -> tuple:
-    """Worker task: run the inherited compiled kernel over one shard.
-
-    Returns a compact ``(row_mask, writes, final_codes)`` triple with
-    statements referenced by index (the parent rebuilds full
-    :class:`KernelResult` entries), keeping the pickled result small.
-    """
-    from ..parallel import get_shared
-
-    compiled, shards = get_shared()
-    result = compiled.detect(shards[index])
-    return (
-        result.row_mask,
-        [
-            (statement.index, rows, branch_indices)
-            for statement, rows, branch_indices in result.writes
-        ],
-        result.final_codes,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -71,33 +71,20 @@ class DetectionResult:
         return {(v.row, v.attribute) for v in self.violations}
 
 
-def detect_errors(
-    program: Program, relation: Relation, pool=None
-) -> DetectionResult:
+def detect_errors(program: Program, relation: Relation) -> DetectionResult:
     """Find every (row, branch) violation via the compiled kernels.
 
     Verdicts agree exactly with per-row :func:`repro.dsl.row_conforms`:
     ``row_mask[i]`` is True iff running the program on row ``i`` changes
     it, and each reported :class:`Violation` is one state-changing
     first-match branch application on a flagged row.
-
-    ``pool`` (a :class:`repro.parallel.WorkerPool`, a worker count, or
-    ``None``) shards large relations across forked workers; the result
-    is bit-identical to the serial path at any worker count.
     """
-    from ..parallel import as_pool
-
-    pool = as_pool(pool)
     with obs.span(
         "errors.detect",
         n_rows=relation.n_rows,
         n_statements=len(program),
     ) as detect_span:
-        compiled = compiled_for(program, relation)
-        if pool is not None and pool.parallel:
-            result = compiled.detect_sharded(relation, pool)
-        else:
-            result = compiled.detect(relation)
+        result = compiled_for(program, relation).detect(relation)
         violations = [
             Violation(int(row), branch)
             for row, branch in result.iter_violations()

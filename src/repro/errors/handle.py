@@ -75,16 +75,10 @@ def apply_strategy(
     program: Program,
     relation: Relation,
     strategy: "Strategy | str" = Strategy.RECTIFY,
-    pool=None,
 ) -> HandlingOutcome:
-    """Vet a relation against a program under the chosen strategy.
-
-    ``pool`` (a :class:`repro.parallel.WorkerPool`, a worker count, or
-    ``None``) parallelizes the detection pass over row shards; the
-    strategy then acts on the merged, bit-identical verdicts.
-    """
+    """Vet a relation against a program under the chosen strategy."""
     strategy = Strategy.parse(strategy)
-    detection = detect_errors(program, relation, pool=pool)
+    detection = detect_errors(program, relation)
     if strategy is Strategy.RAISE:
         if detection.n_flagged_rows:
             rows = [int(r) for r in detection.flagged_rows()[:10]]

@@ -382,10 +382,13 @@ class ObsReport:
     (:func:`repro.obs.merge_events`), so a counter incremented across
     four worker processes reads as one total here.
 
+    >>> def task(item):
+    ...     obs.count("items.done")
+    ...     return item
     >>> with obs.tracing() as sink:
-    ...     detect_errors(program, relation, pool=4)
+    ...     WorkerPool(4).map(task, range(16))
     >>> report = ObsReport.from_events(sink.events)
-    >>> report.counter("dsl.kernel.eval")     # summed across workers
+    >>> report.counter("items.done")          # 16, summed across workers
     """
 
     counters: dict[str, int] = field(default_factory=dict)

@@ -1,16 +1,19 @@
-"""Sharded multicore execution for synthesis and detection.
+"""Forked multicore execution for PC's level-wise CI tests.
 
-The hot paths of the reproduction — compiled detection and PC's
-level-wise CI tests — are embarrassingly parallel over row shards or
-independent work items.  (Algorithm 2's sketch fills are
-not fanned out: they share one statement-level fill cache, and a forked
-worker would refill what the cache already holds.)  This package
-provides the one primitive they share:
-:class:`WorkerPool`, a fork-based ``multiprocessing`` pool with
+Each PC-stable level searches its adjacent pairs' separating sets
+independently (adjacency is frozen per level), so
+:func:`repro.pgm.learn_cpdag` can fan one job per pair out across
+worker processes.  That level fork, reached through
+``synthesize(workers=)``, is this package's one caller.  (Detection and
+Algorithm 2's sketch fills run in the calling process: the compiled
+kernel vets a million rows in a fraction of a second, and the fills
+share one statement-level fill cache that a forked worker would
+refill.)  The primitive is :class:`WorkerPool`, a fork-based
+``multiprocessing`` pool with
 
-* **shared-memory numpy partitions**: workers are forked, so relation
-  code arrays (and any other shared state) are inherited copy-on-write
-  — nothing large is ever pickled;
+* **shared state by inheritance**: workers are forked, so the CI
+  tester's code matrix (and any other shared state) is inherited
+  copy-on-write — nothing large is ever pickled;
 * **a serial fallback**: ``workers=1``, a platform without ``fork``, or
   a nested pool all run the same task functions inline, so every call
   site has exactly one code path;
@@ -20,9 +23,9 @@ provides the one primitive they share:
   stays truthful under parallelism.
 
 Results are **bit-identical to the serial path at any worker count**:
-every fan-out in the repo reduces in deterministic (shard/item) order
-and the per-item work is pure, so parallelism changes wall-clock only.
-See ``docs/PERFORMANCE.md`` for the performance model.
+PC reduces each level's jobs in serial job order and the per-job work
+is pure, so parallelism changes wall-clock only.  See
+``docs/PERFORMANCE.md`` for the performance model.
 
 Execution is **supervised** (:mod:`repro.parallel.supervise`): a worker
 that is SIGKILLed, crashes, wedges past its deadline, or produces an
@@ -42,7 +45,6 @@ from .pool import (
     in_worker,
     resolve_workers,
 )
-from .shard import shard_bounds
 from .supervise import (
     DEFAULT_MAX_RETRIES,
     DEFAULT_TASK_TIMEOUT,
@@ -64,6 +66,5 @@ __all__ = [
     "get_shared",
     "in_worker",
     "resolve_workers",
-    "shard_bounds",
     "worker_chaos",
 ]

@@ -1,14 +1,13 @@
-"""The fork-based worker pool behind every sharded stage.
+"""The fork-based worker pool behind PC's level fork.
 
 Design notes
 ------------
 
 **Fork, not spawn.**  Pools are created with the ``fork`` start method,
-so workers inherit the parent's memory copy-on-write: the relation code
-arrays, compiled programs, and CI testers a stage shares with its
-workers cost nothing to transfer.  Only the per-item payloads (shard
-indices, pair indices — small integers) and the per-item results cross
-the process boundary via pickle.
+so workers inherit the parent's memory copy-on-write: the CI tester
+and frozen adjacency a PC level shares with its workers cost nothing to
+transfer.  Only the per-item payloads (pair indices — small integers)
+and the per-item results cross the process boundary via pickle.
 
 **Shared state by inheritance.**  A stage passes its large read-only
 state via ``map(..., shared=...)``; the pool installs it in a module
@@ -46,11 +45,6 @@ from .supervise import (
 _WORKER_SHARED: Any = None
 _WORKER_CAPTURE: bool = False
 _IN_WORKER: bool = False
-
-DEFAULT_MIN_SHARD_ROWS = 20_000
-"""Below this many rows per shard, fan-out overhead (fork + pickle of
-results) exceeds the kernel time saved; stages fall back to fewer
-shards, possibly one (see ``docs/PERFORMANCE.md``)."""
 
 
 def get_shared() -> Any:
@@ -101,24 +95,18 @@ def _worker_init(shared: Any, capture: bool) -> None:
 
 
 class WorkerPool:
-    """A reusable worker-count + shard-size policy for sharded stages.
+    """A reusable worker-count and fault-tolerance policy.
 
     Instances are cheap value objects: the actual ``multiprocessing``
-    pool is created per ``map`` call (fork is fast, and each stage
-    shares different state), so a ``WorkerPool`` can be threaded
-    through a whole pipeline — synthesis and detection — and each stage
-    forks against its own shared state.
+    pool is created per ``map`` call (fork is fast, and each PC level
+    shares different state), so one ``WorkerPool`` serves every level
+    of a synthesis run, each forking against its own frozen adjacency.
 
     Parameters
     ----------
     workers:
         Worker processes to fan out to.  ``1`` (the default) and
         ``None`` mean serial; ``0`` means one per CPU core.
-    min_shard_rows:
-        Row-sharding floor: :meth:`shards_for` never cuts shards
-        smaller than this, so tiny inputs run serial even at high
-        worker counts (fan-out overhead would dominate).  Tests pass
-        ``1`` to force the parallel path on small fixtures.
     task_timeout:
         Per-task progress deadline in seconds (default a generous
         backstop, :data:`~repro.parallel.DEFAULT_TASK_TIMEOUT`): a
@@ -136,7 +124,6 @@ class WorkerPool:
 
     __slots__ = (
         "workers",
-        "min_shard_rows",
         "task_timeout",
         "max_retries",
         "last_faults",
@@ -145,14 +132,10 @@ class WorkerPool:
     def __init__(
         self,
         workers: int | None = 1,
-        min_shard_rows: int = DEFAULT_MIN_SHARD_ROWS,
         task_timeout: "float | None" = DEFAULT_TASK_TIMEOUT,
         max_retries: int = DEFAULT_MAX_RETRIES,
     ):
         self.workers = resolve_workers(workers)
-        if min_shard_rows < 1:
-            raise ValueError("min_shard_rows must be >= 1")
-        self.min_shard_rows = int(min_shard_rows)
         if task_timeout is not None and not task_timeout > 0:
             raise ValueError("task_timeout must be positive or None")
         self.task_timeout = task_timeout
@@ -165,23 +148,6 @@ class WorkerPool:
     def parallel(self) -> bool:
         """Would ``map`` actually fork?  False forces the serial path."""
         return self.workers > 1 and fork_available() and not _IN_WORKER
-
-    def shards_for(self, n_rows: int) -> list[tuple[int, int]]:
-        """Contiguous row shard bounds for this pool's policy.
-
-        At most ``workers`` shards, each at least ``min_shard_rows``
-        rows (except when the input itself is smaller); one shard means
-        the caller should run serial.
-        """
-        from .shard import shard_bounds
-
-        if not self.parallel:
-            return shard_bounds(n_rows, 1)
-        return shard_bounds(
-            n_rows, self.workers, min_rows=self.min_shard_rows
-        )
-
-    # ------------------------------------------------------------------
 
     def map(
         self,
@@ -231,7 +197,6 @@ class WorkerPool:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"WorkerPool(workers={self.workers}, "
-            f"min_shard_rows={self.min_shard_rows}, "
             f"task_timeout={self.task_timeout}, "
             f"max_retries={self.max_retries})"
         )
@@ -262,8 +227,8 @@ def as_pool(pool: "WorkerPool | int | None") -> "WorkerPool | None":
     """Coerce a ``workers`` knob (int or pool) to a :class:`WorkerPool`.
 
     ``None`` and ``1`` return ``None`` (pure serial, zero overhead);
-    an int builds a pool with default shard policy; a pool passes
-    through.  Every sharded entry point accepts this union.
+    an int builds a pool with the default fault-tolerance policy; a
+    pool passes through.  ``synthesize(workers=)`` accepts this union.
     """
     if pool is None:
         return None

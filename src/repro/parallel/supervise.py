@@ -2,9 +2,8 @@
 
 :class:`~repro.parallel.WorkerPool` used to hand its items to a blind
 ``multiprocessing.Pool.map`` — a worker that was OOM-killed or wedged
-left the call blocked forever, taking sharded detection and synthesis
-down with it.  This module replaces that collection
-loop with a supervised one:
+left the call blocked forever, taking synthesis down with it.  This
+module replaces that collection loop with a supervised one:
 
 * **Dead-worker detection.**  Each worker gets a private duplex pipe;
   the parent waits on every result channel *and* every process sentinel
@@ -57,8 +56,8 @@ WORKER_FAULT_KINDS = (
 """Every ``WorkerFault.kind`` the supervisor can emit."""
 
 DEFAULT_TASK_TIMEOUT = 600.0
-"""Backstop per-task progress deadline (seconds).  No healthy shard job
-comes within two orders of magnitude of this; it exists so a wedged
+"""Backstop per-task progress deadline (seconds).  No healthy PC pair
+job comes within two orders of magnitude of this; it exists so a wedged
 worker can never hang a caller forever.  ``None`` disables deadlines."""
 
 DEFAULT_MAX_RETRIES = 1

@@ -234,8 +234,11 @@ def _parallel_level(
     the reduction is deterministic and the level's outcome (including
     the memo-deduplicated CI-test count) matches serial bit-for-bit.
 
-    Returns ``(any_candidate, tests_used, budget_note_or_None)``; the
-    budget is charged in the parent, once per level.
+    Returns ``(any_candidate, tests_in_workers, budget_note_or_None)``;
+    the budget is charged in the parent, once per level, for every
+    test.  Jobs the pool runs inline (a one-job level, a faulted item's
+    serial fallback) query the parent's tester, whose ``n_queries``
+    already counts them, so ``tests_in_workers`` leaves them out.
     """
     if budget is not None and budget.exhausted():
         return (
@@ -252,6 +255,7 @@ def _parallel_level(
                 continue
             seen.add(key)
             jobs.append((x, y))
+    inline_before = tester.n_queries
     results = pool.map(
         _pair_job,
         range(len(jobs)),
@@ -274,7 +278,8 @@ def _parallel_level(
                 f"pc: stopped at level {level} "
                 f"({queries_done + tests_used} CI tests)"
             )
-    return any_candidate, tests_used, note
+    inline_tests = tester.n_queries - inline_before
+    return any_candidate, tests_used - inline_tests, note
 
 
 def _pair_job(index: int) -> tuple[bool, tuple[str, ...], int, bool]:

@@ -301,10 +301,13 @@ class Relation:
         """A contiguous row range ``[start, stop)`` as a zero-copy view.
 
         Unlike :meth:`take`, the column arrays of the result are numpy
-        basic slices *sharing memory* with this relation — the substrate
-        of :mod:`repro.parallel`'s horizontal sharding, where forked
-        workers read the parent's pages copy-on-write.  Treat the result
-        as read-only, as the immutable-by-convention contract demands.
+        basic slices *sharing memory* with this relation, so even a
+        full-range slice costs no copy.  The result is a new relation
+        with a fresh identity: per-relation caches (the detection and
+        condition-mask caches of :mod:`repro.dsl.compiled`) start empty
+        for it, which is how benchmarks time a cold scan of the same
+        rows.  Treat the result as read-only, as the
+        immutable-by-convention contract demands.
         """
         if not 0 <= start <= stop <= self._n_rows:
             raise RelationError(

@@ -16,9 +16,9 @@ of five families (:data:`FAMILIES`):
   or stalls, a model that throws, values the codecs never saw,
   malformed and ragged rows, mid-stream schema drift, and two drifted
   worlds the self-healing supervisor must detect and recover from;
-* ``worker`` — a forked worker of :class:`repro.parallel.WorkerPool`
-  SIGKILLed or wedged mid-shard, or returning a result that cannot
-  cross the pickle boundary;
+* ``worker`` — a forked worker of PC's level fork
+  (:class:`repro.parallel.WorkerPool`) SIGKILLed or wedged mid-job, or
+  returning a result that cannot cross the pickle boundary;
 * ``durability`` — a torn journal tail, a bit-rotted snapshot, a full
   state disk, a process SIGKILLed mid-commit;
 * ``load`` — component faults injected into a live
@@ -209,9 +209,9 @@ def _sabotaged_guardrail(
         def guard(self):
             return _SabotagedGuard(super().guard())
 
-        def handle(self, relation, strategy="rectify", pool=None):
+        def handle(self, relation, strategy="rectify"):
             sabotage(relation.n_rows)
-            return super().handle(relation, strategy, pool=pool)
+            return super().handle(relation, strategy)
 
     return _SabotagedGuardrail.from_program(
         chaos_program() if program is None else program
@@ -547,46 +547,60 @@ def _unseen_burst(policy, rng, scale) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _pc_outcome(relation: Relation, pool=None) -> tuple:
+    """PC-stable's skeleton, separating sets and CI-test count over the
+    relation's codes (a fresh tester, so no memo carries over)."""
+    from ..pgm import CITester, learn_cpdag
+
+    tester = CITester(relation.codes_matrix(), relation.names)
+    result = learn_cpdag(tester, pool=pool)
+    return (
+        result.cpdag.skeleton(),
+        result.separating_sets,
+        result.n_ci_tests,
+    )
+
+
 def _worker_fault(
     fault: str, expect_kind: str, times: int = 1, task_timeout=30.0
 ) -> str:
-    """Inject one process-level fault into sharded detection and judge.
+    """Inject one process-level fault into PC's level fork and judge.
 
     Surviving a dead worker is orthogonal to the degradation policy
-    (the guard itself never failed — its substrate did), so the bar is
-    the same under every :class:`GuardPolicy`: the call returns (no
-    hang), the mask is bit-identical to a serial reference, and the
-    incident was recorded as a typed
-    :class:`~repro.parallel.WorkerFault` of the expected kind.  A few
-    cells are corrupted so the violation mask is non-trivial — a lost
-    shard that silently came back all-False would be caught.
+    (no guard is involved — synthesis's substrate failed), so the bar
+    is the same under every :class:`GuardPolicy`: the call returns (no
+    hang), PC's skeleton, separating sets and ``n_ci_tests`` equal a
+    serial run's, and the incident was recorded as a typed
+    :class:`~repro.parallel.WorkerFault` of the expected kind.  PC maps
+    once per level and the fault fires on each level's map, so the
+    faults are read from the trace rather than ``pool.last_faults``
+    (which keeps only the last map's).  Job 2 is the City–State pair,
+    whose edge level 1 removes: a lost job would keep the edge.
     """
+    from .. import obs
     from ..parallel import WorkerPool, fork_available, worker_chaos
-    from ..synth import Guardrail
 
     if not fork_available():  # pragma: no cover - linux has fork
         return "skipped: platform lacks fork"
     relation = chaos_relation(copies=64)
-    relation = relation.set_cell(3, "City", "Austin")
-    relation = relation.set_cell(70, "State", "NY")
-    relation = relation.set_cell(200, "City", "Berkeley")
-    guardrail = Guardrail.from_program(chaos_program())
-    n_rows = relation.n_rows
-    # Fresh views per call: detection results are cached per relation
-    # identity, and a cache hit would make the injection a no-op.
-    reference = guardrail.check(relation.slice_rows(0, n_rows))
-    pool = WorkerPool(
-        2, min_shard_rows=1, task_timeout=task_timeout, max_retries=1
-    )
+    reference = _pc_outcome(relation)
+    pool = WorkerPool(2, task_timeout=task_timeout, max_retries=1)
     started = time.perf_counter()
-    with worker_chaos(fault, item=1, times=times, hang_seconds=30.0):
-        mask = guardrail.check(relation.slice_rows(0, n_rows), pool=pool)
+    with obs.tracing() as sink, worker_chaos(
+        fault, item=2, times=times, hang_seconds=30.0
+    ):
+        outcome = _pc_outcome(relation, pool)
     elapsed = time.perf_counter() - started
-    if not np.array_equal(mask, reference):
+    if outcome != reference:
         raise Nonconformant(
-            "recovered mask diverges from the serial reference"
+            "recovered PC skeleton, separating sets or CI-test count "
+            "diverge from the serial reference"
         )
-    kinds = [f.kind for f in pool.last_faults]
+    kinds = [
+        event["fault"]
+        for event in sink.events
+        if event["type"] == "worker_fault"
+    ]
     if expect_kind not in kinds:
         raise Nonconformant(
             f"no WorkerFault of kind {expect_kind!r} recorded "
@@ -599,19 +613,19 @@ def _worker_fault(
 
 
 def _worker_killed(policy, rng, scale) -> str:
-    """A worker is SIGKILLed mid-shard; its shard is retried re-forked."""
+    """A worker is SIGKILLed mid-job; its job is retried re-forked."""
     return _worker_fault("kill", "worker_died")
 
 
 def _worker_hang(policy, rng, scale) -> str:
     """A worker wedges past the progress deadline; it is killed and its
-    shard retried — the caller never blocks on it."""
+    job retried — the caller never blocks on it."""
     return _worker_fault("hang", "task_deadline", task_timeout=0.5)
 
 
 def _poisoned_result(policy, rng, scale) -> str:
     """A worker's result cannot cross the pickle boundary, every time;
-    retries exhaust and the shard degrades to inline serial execution."""
+    retries exhaust and the job degrades to inline serial execution."""
     # Eight failures outlive any retry budget: forces the inline fallback.
     return _worker_fault("unpicklable", "result_unpicklable", times=8)
 

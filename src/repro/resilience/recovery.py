@@ -298,13 +298,9 @@ class GuardrailVersions:
         """The live version's program."""
         return self.current.program
 
-    def handle(
-        self, relation: Relation, strategy: str = "rectify", pool=None
-    ):
-        """Apply an error-handling strategy via the live version
-        (``pool`` shards its detection pass, as in
-        :meth:`~repro.synth.Guardrail.handle`)."""
-        return self.current.handle(relation, strategy, pool=pool)
+    def handle(self, relation: Relation, strategy: str = "rectify"):
+        """Apply an error-handling strategy via the live version."""
+        return self.current.handle(relation, strategy)
 
     def check(self, relation: Relation):
         """Row-violation mask under the live version."""

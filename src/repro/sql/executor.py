@@ -11,8 +11,6 @@ off-the-shelf ML-in-DB systems lack.
 
 from __future__ import annotations
 
-import functools
-import inspect
 import time
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -60,21 +58,6 @@ class SqlRuntimeError(SqlError):
 
 def _predict_key(node: Predict) -> str:
     return f"@{node}"
-
-
-def _accepts_pool(handle) -> bool:
-    """Does a guardrail's ``handle`` accept a ``pool=`` argument?
-
-    Duck-typed guardrails (baseline adapters, test doubles) may not;
-    they then run the guard stage serially instead of crashing it.
-    """
-    try:
-        parameters = inspect.signature(handle).parameters
-    except (TypeError, ValueError):
-        return False
-    return "pool" in parameters or any(
-        p.kind is inspect.Parameter.VAR_KEYWORD for p in parameters.values()
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -414,12 +397,6 @@ class QueryExecutor:
     guard_timeout_seconds:
         Post-hoc watchdog on the guard stage: a slower run counts as a
         breaker failure and degrades per policy.
-    workers:
-        An int or a :class:`repro.parallel.WorkerPool`: the guard
-        stage's detection scan shards large model-input relations
-        across forked workers (verdicts stay bit-identical; see
-        ``docs/PERFORMANCE.md``).  Guardrails whose ``handle`` does not
-        take a ``pool`` argument (duck-typed baselines) run serially.
     """
 
     def __init__(
@@ -432,10 +409,7 @@ class QueryExecutor:
         guard_breaker: CircuitBreaker | None = None,
         model_breaker: CircuitBreaker | None = None,
         guard_timeout_seconds: float | None = None,
-        workers=None,
     ):
-        from ..parallel import as_pool
-
         self.catalog = dict(catalog)
         self.models = dict(models or {})
         self.guardrail = guardrail
@@ -444,7 +418,6 @@ class QueryExecutor:
         self.guard_breaker = guard_breaker or CircuitBreaker(max_retries=0)
         self.model_breaker = model_breaker or CircuitBreaker(max_retries=0)
         self.guard_timeout_seconds = guard_timeout_seconds
-        self.pool = as_pool(workers)
         self.last_metrics = ExecutionMetrics()
         self.last_plan: Plan | None = None
 
@@ -600,14 +573,9 @@ class QueryExecutor:
         watchdog-slow run) degrades per :attr:`policy`.
         """
         start = time.perf_counter()
-        handle = self.guardrail.handle
-        if self.pool is not None and self.pool.parallel and _accepts_pool(
-            handle
-        ):
-            handle = functools.partial(handle, pool=self.pool)
         try:
             outcome = self.guard_breaker.call(
-                handle,
+                self.guardrail.handle,
                 relation,
                 stage.strategy,
                 expected=(DataIntegrityError,),

@@ -445,23 +445,13 @@ class Guardrail:
 
     # ------------------------------------------------------------------
 
-    def check(self, relation: Relation, pool=None) -> np.ndarray:
+    def check(self, relation: Relation) -> np.ndarray:
         """Boolean mask of rows violating the synthesized constraints.
 
         Runs through the compiled kernels of :mod:`repro.dsl.compiled`
         (lowered once per program/codec pair, condition masks cached per
         relation), so repeated checks over the same data are cheap.
-        ``pool`` (a :class:`repro.parallel.WorkerPool` or worker count)
-        shards large relations across forked workers, bit-identically.
         """
-        from ..parallel import as_pool
-
-        pool = as_pool(pool)
-        if pool is not None and pool.parallel:
-            from ..dsl import compiled_for
-
-            compiled = compiled_for(self.program, relation)
-            return compiled.detect_sharded(relation, pool).row_mask
         return program_violations(self.program, relation)
 
     def check_row(self, row: dict) -> bool:
@@ -482,15 +472,11 @@ class Guardrail:
 
         return Guard(self.program)
 
-    def handle(self, relation: Relation, strategy: str = "rectify", pool=None):
-        """Apply an error-handling strategy; see :mod:`repro.errors`.
-
-        ``pool`` shards the detection pass across forked workers (see
-        :mod:`repro.parallel`); verdicts stay bit-identical to serial.
-        """
+    def handle(self, relation: Relation, strategy: str = "rectify"):
+        """Apply an error-handling strategy; see :mod:`repro.errors`."""
         from ..errors import apply_strategy
 
-        return apply_strategy(self.program, relation, strategy, pool=pool)
+        return apply_strategy(self.program, relation, strategy)
 
     def rectify(self, relation: Relation) -> Relation:
         """Shorthand for the rectify strategy, returning only the data."""

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.parallel import fork_available
 from repro.relation import Relation, read_csv, write_csv
 from repro.resilience import DriftDetector, render_drift_report
 from repro.synth import Guardrail, GuardrailConfig
@@ -96,6 +95,16 @@ class TestCli:
             ]
         ) == 0
         assert read_csv(fixed_csv).value(0, dependent) == original
+
+    def test_synthesize_workers_prints_the_serial_program(
+        self, city_csv, capsys
+    ):
+        argv = ["synthesize", str(city_csv), "--min-support", "3"]
+        assert main(argv) == 0
+        serial = capsys.readouterr().out
+        assert "GIVEN" in serial
+        assert main(argv + ["--workers", "2"]) == 0
+        assert capsys.readouterr().out == serial
 
     def test_serve_resends_rejected_requests(
         self, tmp_path, city_csv, city_relation, capsys
@@ -212,9 +221,6 @@ class TestCliDrift:
 
         assert main(argv) == 1
         out = capsys.readouterr().out
-        if fork_available():
-            assert main(argv + ["--workers", "2"]) == 1
-            assert capsys.readouterr().out == out
 
         # The reference: the stream fed through a row guard with the
         # detector attached, one row at a time.

@@ -95,7 +95,7 @@ def _crash_on_two(x):
 @needs_fork
 @pytest.mark.parametrize("workers", [2, 4])
 def test_sigkill_mid_map_returns_bit_identical(workers):
-    pool = WorkerPool(workers, min_shard_rows=1)
+    pool = WorkerPool(workers)
     with deadline(60):
         with worker_chaos("kill", item=5):
             result = pool.map(_square, range(64))
@@ -110,7 +110,7 @@ def test_sigkill_from_the_task_itself(tmp_path):
     """No injection hook: the task SIGKILLs its own worker once; the
     retry (which sees the flag file) succeeds."""
     flag = tmp_path / "killed"
-    pool = WorkerPool(2, min_shard_rows=1)
+    pool = WorkerPool(2)
     with deadline(60):
         result = pool.map(_kill_self_once, range(8), shared=str(flag))
     assert result == [x * x for x in range(8)]
@@ -120,7 +120,7 @@ def test_sigkill_from_the_task_itself(tmp_path):
 
 @needs_fork
 def test_hung_worker_hits_deadline_and_recovers():
-    pool = WorkerPool(2, min_shard_rows=1, task_timeout=0.5)
+    pool = WorkerPool(2, task_timeout=0.5)
     started = time.monotonic()
     with deadline(60):
         with worker_chaos("hang", item=2, hang_seconds=60.0):
@@ -135,7 +135,7 @@ def test_hung_worker_hits_deadline_and_recovers():
 def test_unpicklable_result_degrades_to_inline_serial():
     # times=8 outlives max_retries=1, so the item must fall back to
     # inline execution in the parent (where nothing is pickled).
-    pool = WorkerPool(2, min_shard_rows=1, max_retries=1)
+    pool = WorkerPool(2, max_retries=1)
     with deadline(60):
         with worker_chaos("unpicklable", item=1, times=8):
             result = pool.map(_square, range(8))
@@ -149,7 +149,7 @@ def test_unpicklable_result_degrades_to_inline_serial():
 def test_retry_handles_fault_on_retried_attempt_too():
     # The fault fires on attempts 0 and 1: the first retry dies as
     # well, and the item still completes (inline past the budget).
-    pool = WorkerPool(2, min_shard_rows=1, max_retries=1)
+    pool = WorkerPool(2, max_retries=1)
     with deadline(60):
         with worker_chaos("kill", item=0, times=2):
             result = pool.map(_square, range(6))
@@ -164,7 +164,7 @@ def test_retry_handles_fault_on_retried_attempt_too():
 
 @needs_fork
 def test_worker_fault_surfaces_as_obs_event():
-    pool = WorkerPool(2, min_shard_rows=1)
+    pool = WorkerPool(2)
     with obs.tracing(obs.MemorySink()) as sink:
         with deadline(60):
             with worker_chaos("kill", item=1):
@@ -183,7 +183,7 @@ def test_worker_fault_surfaces_as_obs_event():
 
 @needs_fork
 def test_healthy_run_records_no_faults():
-    pool = WorkerPool(2, min_shard_rows=1)
+    pool = WorkerPool(2)
     assert pool.map(_square, range(16)) == [x * x for x in range(16)]
     assert pool.last_faults == ()
 
@@ -195,7 +195,7 @@ def test_healthy_run_records_no_faults():
 
 @needs_fork
 def test_task_exception_still_propagates_and_cleans_up():
-    pool = WorkerPool(2, min_shard_rows=1)
+    pool = WorkerPool(2)
     with deadline(60):
         with pytest.raises(ValueError, match="task 2 failed"):
             pool.map(_crash_on_two, range(8))

@@ -1,10 +1,9 @@
-"""Unit tests for :mod:`repro.parallel` (pool, sharding, obs merging)."""
+"""Unit tests for :mod:`repro.parallel` (pool, obs merging)."""
 
 from __future__ import annotations
 
 import os
 
-import numpy as np
 import pytest
 
 from repro import obs
@@ -15,9 +14,7 @@ from repro.parallel import (
     get_shared,
     in_worker,
     resolve_workers,
-    shard_bounds,
 )
-from repro.relation import Relation
 
 needs_fork = pytest.mark.skipif(
     not fork_available(), reason="fork start method unavailable"
@@ -50,60 +47,6 @@ def _nested_parallelism(_):
 
 def _crash(x):
     raise RuntimeError(f"task {x} failed")
-
-
-# ---------------------------------------------------------------------------
-# Shard bounds
-# ---------------------------------------------------------------------------
-
-
-class TestShardBounds:
-    def test_partitions_cover_and_order(self):
-        for n_rows in (1, 7, 100, 1013):
-            for n_shards in (1, 2, 3, 8):
-                bounds = shard_bounds(n_rows, n_shards)
-                assert bounds[0][0] == 0
-                assert bounds[-1][1] == n_rows
-                for (_, stop), (start, _) in zip(bounds, bounds[1:]):
-                    assert stop == start  # contiguous, in order
-
-    def test_balanced_within_one_row(self):
-        sizes = [e - s for s, e in shard_bounds(103, 4)]
-        assert sum(sizes) == 103
-        assert max(sizes) - min(sizes) <= 1
-
-    def test_min_rows_caps_shard_count(self):
-        assert shard_bounds(7, 3, min_rows=4) == [(0, 7)]
-        assert len(shard_bounds(100, 8, min_rows=25)) == 4
-
-    def test_empty_relation(self):
-        assert shard_bounds(0, 4) == [(0, 0)]
-
-    def test_more_shards_than_rows(self):
-        bounds = shard_bounds(2, 5)
-        assert bounds[-1][1] == 2
-        assert all(e >= s for s, e in bounds)
-
-
-class TestShardRelation:
-    def test_views_not_copies(self, city_relation):
-        bounds = shard_bounds(city_relation.n_rows, 3)
-        shards = [city_relation.slice_rows(*bound) for bound in bounds]
-        base = city_relation.codes("City")
-        for (start, stop), shard in zip(bounds, shards):
-            assert shard.n_rows == stop - start
-            assert np.shares_memory(shard.codes("City"), base)
-            assert np.array_equal(shard.codes("City"), base[start:stop])
-
-    def test_slice_rows_bounds_checked(self, city_relation):
-        from repro.relation import RelationError
-
-        with pytest.raises(RelationError):
-            city_relation.slice_rows(-1, 3)
-        with pytest.raises(RelationError):
-            city_relation.slice_rows(0, city_relation.n_rows + 1)
-        with pytest.raises(RelationError):
-            city_relation.slice_rows(5, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -181,11 +124,6 @@ class TestWorkerPoolParallel:
     def test_worker_exception_propagates(self):
         with pytest.raises(RuntimeError, match=r"task \d failed"):
             WorkerPool(2).map(_crash, [0, 1])
-
-    def test_shards_for_respects_min_rows(self):
-        pool = WorkerPool(4, min_shard_rows=50)
-        assert pool.shards_for(80) == [(0, 80)]
-        assert len(pool.shards_for(400)) == 4
 
 
 # ---------------------------------------------------------------------------

@@ -138,6 +138,22 @@ class TestOperations:
         assert simple.head(2).n_rows == 2
         assert simple.head(100).n_rows == 4
 
+    def test_slice_rows_views_not_copies(self, city_relation):
+        base = city_relation.codes("City")
+        for start, stop in ((0, 17), (17, 34), (34, city_relation.n_rows)):
+            view = city_relation.slice_rows(start, stop)
+            assert view.n_rows == stop - start
+            assert np.shares_memory(view.codes("City"), base)
+            assert np.array_equal(view.codes("City"), base[start:stop])
+
+    def test_slice_rows_bounds_checked(self, city_relation):
+        with pytest.raises(RelationError):
+            city_relation.slice_rows(-1, 3)
+        with pytest.raises(RelationError):
+            city_relation.slice_rows(0, city_relation.n_rows + 1)
+        with pytest.raises(RelationError):
+            city_relation.slice_rows(5, 3)
+
     def test_with_column_add(self, simple):
         out = simple.with_column("flag", ["y", "n", "y", "n"])
         assert out.names == ("color", "size", "flag")

@@ -6,10 +6,8 @@ import pytest
 from repro import obs
 from repro.errors import DataIntegrityError
 from repro.ml import NaiveBayes
-from repro.parallel import WorkerPool, fork_available
 from repro.pgm import DAG, random_sem
 from repro.relation import Attribute, AttributeType, Relation, Schema
-from repro.resilience import GuardrailVersions
 from repro.sql import QueryExecutor, SqlRuntimeError
 from repro.synth import Guardrail, GuardrailConfig
 
@@ -250,37 +248,6 @@ class TestMlIntegration:
         assert len(repairs) == 1
         assert repairs[0]["path"].endswith("sql.guard/errors.rectify")
         assert repairs[0]["attrs"]["n_rows"] >= 1
-
-    @pytest.mark.skipif(
-        not fork_available(), reason="fork start method unavailable"
-    )
-    def test_versioned_guardrail_gets_the_worker_pool(self, ml_setup):
-        """Regression: ``GuardrailVersions.handle`` took no ``pool=``, so
-        an executor over versioned guardrails vetted serially."""
-        train, test, model = ml_setup
-        guard = Guardrail(
-            GuardrailConfig(epsilon=0.05, min_support=2, seed=0)
-        ).fit(train)
-        target = guard.program.dependents[0]
-        query = "SELECT PREDICT(m) AS p, COUNT(*) AS n FROM t GROUP BY p"
-        serial = QueryExecutor(
-            {"t": test.set_cell(0, target, "garbage")}, {"m": model},
-            guardrail=guard, strategy="rectify",
-        )
-        expected = serial.execute(query)
-        executor = QueryExecutor(
-            {"t": test.set_cell(0, target, "garbage")}, {"m": model},
-            guardrail=GuardrailVersions(guard), strategy="rectify",
-            workers=WorkerPool(2, min_shard_rows=1),
-        )
-        with obs.tracing() as sink:
-            result = executor.execute(query)
-        spans = {e["name"] for e in sink.events if e["type"] == "span"}
-        assert "dsl.detect_sharded" in spans
-        assert result.rows == expected.rows
-        assert executor.last_metrics.rows_rectified == (
-            serial.last_metrics.rows_rectified
-        ) >= 1
 
     def test_guard_raise_strategy_propagates(self, ml_setup):
         train, test, model = ml_setup
