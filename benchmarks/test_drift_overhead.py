@@ -8,9 +8,9 @@ throughput within 10% of the bare guards.
 
 Each run also records its measurements against ``BENCH_guard.json``.
 That file holds a ``baseline`` object (this benchmark's committed
-reference numbers) plus a ``trajectory`` list (worker-scaling entries
-appended by ``test_scaling_workers.py``); set ``REPRO_UPDATE_BENCH=1``
-to rewrite the baseline on a quiet machine — the trajectory is
+reference numbers) plus a ``trajectory`` list (the closed series of
+row-sharded detection timings); set ``REPRO_UPDATE_BENCH=1`` to
+rewrite the baseline on a quiet machine — the trajectory is
 preserved.  ``benchmarks/README.md`` documents the format.
 """
 

@@ -24,10 +24,8 @@ there, and ``--resume PATH`` continues from such a journal;
 ``rectify --guard-policy`` and ``chaos --guard-policy`` select a
 :class:`repro.resilience.GuardPolicy` degradation mode.
 
-``synthesize --workers N`` forks N worker processes for PC's
-level-wise CI tests (``0`` = one per CPU core); the program is
-bit-identical to a serial run (:mod:`repro.parallel`,
-``docs/PERFORMANCE.md``).
+Synthesis and detection run in the calling process;
+``docs/PERFORMANCE.md`` says why.
 """
 
 from __future__ import annotations
@@ -70,12 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
         "synthesize", help="synthesize a DSL program from a CSV file"
     )
     add_trace_flag(synth)
-    synth.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="fork N worker processes for PC's CI tests (0 = one per "
-        "CPU core, default 1 = serial); the program is bit-identical "
-        "to a serial run",
-    )
     synth.add_argument("csv", type=Path, help="input data (CSV with header)")
     synth.add_argument(
         "-o", "--output", type=Path, help="write the program here"
@@ -229,8 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--family",
         action="append",
         choices=FAMILIES,
-        help="run only this fault family (repeatable; default: unit, "
-        "worker and durability; load and overload drive a live "
+        help="run only this fault family (repeatable; default: unit "
+        "and durability; load and overload drive a live "
         "GuardServer)",
     )
     chaos.add_argument(
@@ -364,7 +356,6 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
             relation,
             config,
             budget=budget,
-            workers=args.workers,
             checkpoint_path=args.checkpoint,
             resume_from=args.resume,
         )

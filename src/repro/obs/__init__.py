@@ -26,14 +26,12 @@ from .report import (
     aggregate_histograms,
     aggregate_durability,
     aggregate_overload,
-    aggregate_worker_faults,
     build_span_tree,
     render_drift_dashboard,
     render_guard_dashboard,
     render_metrics,
     render_report,
     render_span_tree,
-    worker_ids,
 )
 from .sinks import (
     JsonlSink,
@@ -52,7 +50,6 @@ from .trace import (
     current_sink,
     disable,
     enabled,
-    merge_events,
     observe,
     record,
     span,
@@ -72,7 +69,6 @@ __all__ = [
     "disable",
     "enabled",
     "current_sink",
-    "merge_events",
     "SpanHandle",
     "SteadyClock",
     "STEADY_CLOCK",
@@ -85,7 +81,6 @@ __all__ = [
     "iter_events",
     # report
     "ObsReport",
-    "worker_ids",
     "SpanNode",
     "build_span_tree",
     "render_span_tree",
@@ -93,7 +88,6 @@ __all__ = [
     "aggregate_histograms",
     "aggregate_durability",
     "aggregate_overload",
-    "aggregate_worker_faults",
     "render_metrics",
     "render_drift_dashboard",
     "render_guard_dashboard",

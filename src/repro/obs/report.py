@@ -244,22 +244,6 @@ def render_drift_dashboard(events: Iterable[dict]) -> str:
     return "\n".join(lines)
 
 
-def aggregate_worker_faults(events: Iterable[dict]) -> dict[str, int]:
-    """Count ``worker_fault`` events by fault kind.
-
-    The supervised pool (:mod:`repro.parallel.supervise`) emits one
-    typed event per absorbed process-level incident — worker death,
-    task deadline, unpicklable result; an empty dict means every pool
-    call in the trace ran clean.
-    """
-    by_kind: dict[str, int] = {}
-    for event in events:
-        if event.get("type") == "worker_fault":
-            kind = str(event.get("fault", "?"))
-            by_kind[kind] = by_kind.get(kind, 0) + 1
-    return by_kind
-
-
 DURABILITY_COUNTERS = (
     "recovery.replayed_records",
     "recovery.truncated_tail_bytes",
@@ -295,9 +279,9 @@ def aggregate_durability(events: Iterable[dict]) -> dict[str, int]:
     """Collect the durability/recovery counters present in a trace.
 
     One entry per :data:`DURABILITY_COUNTERS` name observed; an empty
-    dict means the trace never touched a durable state store.  Mirrors
-    :func:`aggregate_worker_faults` — every absorbed disk incident and
-    every recovery statistic is surfaced, never silently dropped.
+    dict means the trace never touched a durable state store.  Every
+    absorbed disk incident and every recovery statistic is surfaced,
+    never silently dropped.
     """
     return _counter_subset(events, DURABILITY_COUNTERS)
 
@@ -328,39 +312,13 @@ def aggregate_overload(events: Iterable[dict]) -> dict[str, int]:
     return _counter_subset(events, OVERLOAD_COUNTERS)
 
 
-def worker_ids(events: Iterable[dict]) -> tuple[int, ...]:
-    """Distinct worker pids whose merged events appear in a trace.
-
-    Events re-emitted by :func:`repro.obs.merge_events` carry a
-    ``worker`` tag; an empty tuple means the trace is single-process.
-    """
-    return tuple(
-        sorted(
-            {
-                int(event["worker"])
-                for event in events
-                if "worker" in event
-            }
-        )
-    )
-
-
 def _summary_lines(
-    workers: tuple[int, ...],
-    worker_faults: dict[str, int],
-    durability: dict[str, int],
-    overload: dict[str, int],
+    durability: dict[str, int], overload: dict[str, int]
 ) -> list[str]:
-    """The report's one-line summaries: merged workers, absorbed worker
-    faults, durability and overload counters (each only when present)."""
+    """The report's one-line summaries: durability and overload
+    counters (each only when present)."""
     lines = []
-    if workers:
-        lines.append(
-            f"merged events from {len(workers)} worker process(es): "
-            f"{list(workers)}"
-        )
     for title, totals in (
-        ("worker faults absorbed", worker_faults),
         ("durability", durability),
         ("overload", overload),
     ):
@@ -374,21 +332,18 @@ def _summary_lines(
 
 @dataclass
 class ObsReport:
-    """A trace aggregated into one queryable object (the merged view).
+    """A trace aggregated into one queryable object.
 
     Where the ``render_*`` functions format text, ``ObsReport`` exposes
     the same aggregates — counters, histogram samples, the span tree —
-    as data, *including* every event merged back from forked workers
-    (:func:`repro.obs.merge_events`), so a counter incremented across
-    four worker processes reads as one total here.
+    as data, so a counter incremented at many call sites reads as one
+    total here.
 
-    >>> def task(item):
-    ...     obs.count("items.done")
-    ...     return item
     >>> with obs.tracing() as sink:
-    ...     WorkerPool(4).map(task, range(16))
+    ...     for _ in range(16):
+    ...         obs.count("items.done")
     >>> report = ObsReport.from_events(sink.events)
-    >>> report.counter("items.done")          # 16, summed across workers
+    >>> report.counter("items.done")          # 16
     """
 
     counters: dict[str, int] = field(default_factory=dict)
@@ -396,8 +351,6 @@ class ObsReport:
     span_tree: SpanNode = field(
         default_factory=lambda: SpanNode(name="<root>", path="")
     )
-    workers: tuple[int, ...] = ()
-    worker_faults: dict[str, int] = field(default_factory=dict)
     durability: dict[str, int] = field(default_factory=dict)
     overload: dict[str, int] = field(default_factory=dict)
     n_events: int = 0
@@ -412,33 +365,21 @@ class ObsReport:
             counters=aggregate_counters(events),
             histograms=aggregate_histograms(events),
             span_tree=build_span_tree(events),
-            workers=worker_ids(events),
-            worker_faults=aggregate_worker_faults(events),
             durability=aggregate_durability(events),
             overload=aggregate_overload(events),
             n_events=len(events),
         )
 
     def counter(self, name: str, default: int = 0) -> int:
-        """Total of one counter across every process that emitted it."""
+        """Total of one counter over every event that counted it."""
         return self.counters.get(name, default)
-
-    @property
-    def n_workers(self) -> int:
-        """Worker processes that contributed merged events (0 = serial)."""
-        return len(self.workers)
 
     def render(self) -> str:
         """The metrics section of the text report, under the summary
-        lines (workers, worker faults, durability, overload)."""
+        lines (durability, overload)."""
         lines = [
             f"  {line}"
-            for line in _summary_lines(
-                self.workers,
-                self.worker_faults,
-                self.durability,
-                self.overload,
-            )
+            for line in _summary_lines(self.durability, self.overload)
         ]
         body = render_metrics(
             [
@@ -466,10 +407,7 @@ def render_report(source: "Iterable[dict] | str | Path") -> str:
     ]
     parts = [f"trace: {len(events)} events"]
     parts += _summary_lines(
-        worker_ids(events),
-        aggregate_worker_faults(events),
-        aggregate_durability(events),
-        aggregate_overload(events),
+        aggregate_durability(events), aggregate_overload(events)
     )
     for title, body in sections:
         parts.append(f"\n{title}\n{'-' * len(title)}\n{body}")

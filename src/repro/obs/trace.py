@@ -305,25 +305,3 @@ def record(kind: str, /, **fields) -> None:
     event = {"type": kind, "ts": STEADY_CLOCK.now()}
     event.update(fields)
     _emit(event)
-
-
-def merge_events(events, worker: int | None = None) -> None:
-    """Re-emit events captured in another process into the current sink.
-
-    A forked worker inherits a *copy* of the sink, so its counters,
-    histograms, and spans would be silently dropped when it exits.  The
-    worker-pool protocol (:mod:`repro.parallel`) instead captures each
-    task's events in a private :class:`~repro.obs.MemorySink`, ships
-    them back with the result, and the parent replays them here —
-    tagged with the worker's pid so reports can attribute them.
-
-    No-op when tracing is disabled; events are copied before tagging,
-    never mutated.
-    """
-    if not _enabled or not events:
-        return
-    for event in events:
-        if worker:
-            event = dict(event)
-            event.setdefault("worker", worker)
-        _emit(event)

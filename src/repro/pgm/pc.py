@@ -38,11 +38,9 @@ class PCResult:
 def learn_cpdag(
     tester: CITester,
     max_condition_size: int | None = None,
-    max_degree: int | None = None,
     budget=None,
     initial_skeleton=None,
     initial_separating=None,
-    pool=None,
 ) -> PCResult:
     """Run PC-stable on the variables of ``tester``.
 
@@ -52,9 +50,6 @@ def learn_cpdag(
         The CI oracle (bound to data, or to a ground-truth DAG in tests).
     max_condition_size:
         Cap on |S|; ``None`` runs until no adjacency set is large enough.
-    max_degree:
-        Optional cap used to skip conditioning sets drawn from very
-        high-degree nodes (a standard large-graph safeguard).
     budget:
         Optional :class:`repro.resilience.Budget`, charged one step per
         CI test.  Exhaustion stops edge *removal* early (remaining
@@ -73,23 +68,7 @@ def learn_cpdag(
         Warm start: separating sets from the prior run for the pairs
         *outside* ``initial_skeleton``, so v-structure orientation sees
         the evidence that removed those edges.
-    pool:
-        Optional :class:`repro.parallel.WorkerPool` (or worker count):
-        each level's separator searches are batched across forked
-        workers, one job per unordered adjacent pair.  PC-stable
-        freezes adjacency per level, so pair jobs are independent; the
-        parent applies removals in serial job order, making the learned
-        skeleton, separating sets, and ``n_ci_tests`` **bit-identical**
-        to the serial run.  With a budget, exhaustion is checked
-        between levels (level granularity instead of the serial path's
-        per-test granularity), so a *truncated* parallel run may keep
-        more edges than a truncated serial one — both are valid,
-        conservative skeletons.
     """
-    from ..parallel import as_pool
-
-    pool = as_pool(pool)
-    use_pool = pool is not None and pool.parallel
     nodes = tester.names
     truncated = False
     if initial_skeleton is None:
@@ -115,7 +94,6 @@ def learn_cpdag(
             if set(pair) <= known and set(sepset) <= known:
                 separating[frozenset(pair)] = frozenset(sepset)
     queries_before = tester.n_queries
-    extra_tests = 0
 
     with obs.span("pgm.learn_cpdag", n_nodes=len(nodes)) as pc_span:
         level = 0
@@ -131,29 +109,7 @@ def learn_cpdag(
             }
             any_candidate = False
             with obs.span("pgm.pc_level", level=level):
-                if use_pool:
-                    any_candidate, level_tests, pc_note = _parallel_level(
-                        tester,
-                        nodes,
-                        frozen,
-                        adjacency,
-                        separating,
-                        level,
-                        max_degree,
-                        budget,
-                        pool,
-                        extra_tests
-                        + tester.n_queries
-                        - queries_before,
-                    )
-                    extra_tests += level_tests
-                    if pc_note is not None:
-                        truncated = True
-                        budget.note(pc_note)
-                    nodes_to_visit = ()
-                else:
-                    nodes_to_visit = nodes
-                for x in nodes_to_visit:
+                for x in nodes:
                     if truncated:
                         break
                     for y in sorted(frozen[x]):
@@ -169,17 +125,10 @@ def learn_cpdag(
                         if y not in adjacency[x]:
                             continue  # already removed at this level
                         candidates = frozen[x] - {y}
-                        if (
-                            max_degree is not None
-                            and len(candidates) > max_degree
-                        ):
-                            candidates = frozenset(
-                                sorted(candidates)[:max_degree]
-                            )
                         if len(candidates) < level:
                             continue
                         any_candidate = True
-                        if _find_separator(
+                        _find_separator(
                             tester,
                             x,
                             y,
@@ -188,8 +137,7 @@ def learn_cpdag(
                             adjacency,
                             separating,
                             budget,
-                        ):
-                            continue
+                        )
             if truncated or not any_candidate:
                 break
             level += 1
@@ -200,7 +148,7 @@ def learn_cpdag(
             )
             cpdag = PDAG(nodes, directed, undirected)
             cpdag.apply_meek_rules()
-        n_ci_tests = tester.n_queries - queries_before + extra_tests
+        n_ci_tests = tester.n_queries - queries_before
         pc_span.set(n_ci_tests=n_ci_tests, levels_run=level)
     notes = ["budget: " + pc_note] if truncated else []
     return PCResult(
@@ -210,111 +158,6 @@ def learn_cpdag(
         levels_run=level,
         notes=notes,
     )
-
-
-def _parallel_level(
-    tester: CITester,
-    nodes: Sequence[str],
-    frozen: dict[str, frozenset[str]],
-    adjacency: dict[str, set[str]],
-    separating: dict[frozenset[str], frozenset[str]],
-    level: int,
-    max_degree: int | None,
-    budget,
-    pool,
-    queries_done: int,
-) -> tuple[bool, int, str | None]:
-    """One PC-stable level, batched across forked workers.
-
-    One job per unordered adjacent pair: the worker searches the first
-    direction (in the serial visit order) and, only if no separator was
-    found, the second — exactly the work the serial loop does, because
-    a removed edge makes the serial loop skip the reverse visit.  The
-    parent then applies removals and separating sets in job order, so
-    the reduction is deterministic and the level's outcome (including
-    the memo-deduplicated CI-test count) matches serial bit-for-bit.
-
-    Returns ``(any_candidate, tests_in_workers, budget_note_or_None)``;
-    the budget is charged in the parent, once per level, for every
-    test.  Jobs the pool runs inline (a one-job level, a faulted item's
-    serial fallback) query the parent's tester, whose ``n_queries``
-    already counts them, so ``tests_in_workers`` leaves them out.
-    """
-    if budget is not None and budget.exhausted():
-        return (
-            False,
-            0,
-            f"pc: stopped at level {level} ({queries_done} CI tests)",
-        )
-    jobs: list[tuple[str, str]] = []
-    seen: set[frozenset[str]] = set()
-    for x in nodes:
-        for y in sorted(frozen[x]):
-            key = frozenset((x, y))
-            if key in seen:
-                continue
-            seen.add(key)
-            jobs.append((x, y))
-    inline_before = tester.n_queries
-    results = pool.map(
-        _pair_job,
-        range(len(jobs)),
-        shared=(tester, frozen, jobs, level, max_degree),
-    )
-    any_candidate = False
-    tests_used = 0
-    for (x, y), (removed, sepset, tests, candidate) in zip(jobs, results):
-        any_candidate |= candidate
-        tests_used += tests
-        if removed:
-            adjacency[x].discard(y)
-            adjacency[y].discard(x)
-            separating[frozenset((x, y))] = frozenset(sepset)
-    note = None
-    if budget is not None and tests_used:
-        budget.spend(tests_used, kind="pc.ci_test")
-        if budget.exhausted():
-            note = (
-                f"pc: stopped at level {level} "
-                f"({queries_done + tests_used} CI tests)"
-            )
-    inline_tests = tester.n_queries - inline_before
-    return any_candidate, tests_used - inline_tests, note
-
-
-def _pair_job(index: int) -> tuple[bool, tuple[str, ...], int, bool]:
-    """Worker task: the full separator search for one unordered pair.
-
-    Replays the serial per-direction logic against the level-frozen
-    adjacency; the worker's forked tester copy shares its memo across
-    the two directions (pair-keyed, like the serial tester), so the
-    reported miss count equals the serial one.
-    """
-    from ..parallel import get_shared
-
-    tester, frozen, jobs, level, max_degree = get_shared()
-    x, y = jobs[index]
-    before = tester.n_queries
-    removed = False
-    sepset: tuple[str, ...] = ()
-    candidate = False
-    for a, b in ((x, y), (y, x)):
-        if b not in frozen[a]:
-            continue
-        candidates = frozen[a] - {b}
-        if max_degree is not None and len(candidates) > max_degree:
-            candidates = frozenset(sorted(candidates)[:max_degree])
-        if len(candidates) < level:
-            continue
-        candidate = True
-        for subset in combinations(sorted(candidates), level):
-            if tester.independent(a, b, subset):
-                removed = True
-                sepset = subset
-                break
-        if removed:
-            break
-    return removed, sepset, tester.n_queries - before, candidate
 
 
 def _find_separator(

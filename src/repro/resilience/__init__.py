@@ -18,12 +18,12 @@ Five pillars keep the pipeline production-safe:
   closing the loop: quarantine, budgeted warm-started re-synthesis,
   held-out validation, atomic guardrail hot-swap with rollback;
 * :mod:`~repro.resilience.chaos` — a fault-injection harness: one
-  registry (:data:`FAULTS`) of fault classes in five families — unit,
-  worker (forked pool workers), durability (the state disk), load
-  (component faults inside a live :class:`repro.serve.GuardServer`
-  under closed-loop clients) and overload (traffic storms) — each
-  judged policy-conformant by one runner (:func:`run_fault`), with
-  the served families in :mod:`~repro.resilience.chaos_serve`;
+  registry (:data:`FAULTS`) of fault classes in four families — unit,
+  durability (the state disk), load (component faults inside a live
+  :class:`repro.serve.GuardServer` under closed-loop clients) and
+  overload (traffic storms) — each judged policy-conformant by one
+  runner (:func:`run_fault`), with the served families in
+  :mod:`~repro.resilience.chaos_serve`;
 * :mod:`~repro.resilience.durability` — the crash-safe state store
   (write-ahead journal + atomic snapshot generations +
   :func:`~repro.resilience.durability.recover`) that makes hot-swaps,

@@ -10,15 +10,12 @@ affected rows withheld.  No fault class may ever surface as an
 unhandled exception.
 
 Every class lives in one registry, :data:`FAULTS`, and belongs to one
-of five families (:data:`FAMILIES`):
+of four families (:data:`FAMILIES`):
 
 * ``unit`` — a guarded ML-SQL pipeline or stream: a guard that raises
   or stalls, a model that throws, values the codecs never saw,
   malformed and ragged rows, mid-stream schema drift, and two drifted
   worlds the self-healing supervisor must detect and recover from;
-* ``worker`` — a forked worker of PC's level fork
-  (:class:`repro.parallel.WorkerPool`) SIGKILLed or wedged mid-job, or
-  returning a result that cannot cross the pickle boundary;
 * ``durability`` — a torn journal tail, a bit-rotted snapshot, a full
   state disk, a process SIGKILLed mid-commit;
 * ``load`` — component faults injected into a live
@@ -32,11 +29,10 @@ of five families (:data:`FAMILIES`):
     assert all(o.conformant for o in outcomes)
     print(render_chaos_report(outcomes))
 
-With no selector the suite runs the ``unit``, ``worker`` and
-``durability`` families; ``families=`` (``repro chaos --family``)
-selects the served ones.  The harness is self-contained (synthetic
-data, a hand-built program, a stub model), so it runs in seconds and
-can gate CI.
+With no selector the suite runs the ``unit`` and ``durability``
+families; ``families=`` (``repro chaos --family``) selects the served
+ones.  The harness is self-contained (synthetic data, a hand-built
+program, a stub model), so it runs in seconds and can gate CI.
 """
 
 from __future__ import annotations
@@ -60,10 +56,10 @@ from .policy import (
     ResilientGuard,
 )
 
-FAMILIES = ("unit", "worker", "durability", "load", "overload")
+FAMILIES = ("unit", "durability", "load", "overload")
 """Fault families in suite order."""
 
-_DEFAULT_FAMILIES = ("unit", "worker", "durability")
+_DEFAULT_FAMILIES = ("unit", "durability")
 """What the suite runs with no selector: every class that needs no
 live server."""
 
@@ -543,94 +539,6 @@ def _unseen_burst(policy, rng, scale) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Worker fault classes: the supervised pool must recover
-# ---------------------------------------------------------------------------
-
-
-def _pc_outcome(relation: Relation, pool=None) -> tuple:
-    """PC-stable's skeleton, separating sets and CI-test count over the
-    relation's codes (a fresh tester, so no memo carries over)."""
-    from ..pgm import CITester, learn_cpdag
-
-    tester = CITester(relation.codes_matrix(), relation.names)
-    result = learn_cpdag(tester, pool=pool)
-    return (
-        result.cpdag.skeleton(),
-        result.separating_sets,
-        result.n_ci_tests,
-    )
-
-
-def _worker_fault(
-    fault: str, expect_kind: str, times: int = 1, task_timeout=30.0
-) -> str:
-    """Inject one process-level fault into PC's level fork and judge.
-
-    Surviving a dead worker is orthogonal to the degradation policy
-    (no guard is involved — synthesis's substrate failed), so the bar
-    is the same under every :class:`GuardPolicy`: the call returns (no
-    hang), PC's skeleton, separating sets and ``n_ci_tests`` equal a
-    serial run's, and the incident was recorded as a typed
-    :class:`~repro.parallel.WorkerFault` of the expected kind.  PC maps
-    once per level and the fault fires on each level's map, so the
-    faults are read from the trace rather than ``pool.last_faults``
-    (which keeps only the last map's).  Job 2 is the City–State pair,
-    whose edge level 1 removes: a lost job would keep the edge.
-    """
-    from .. import obs
-    from ..parallel import WorkerPool, fork_available, worker_chaos
-
-    if not fork_available():  # pragma: no cover - linux has fork
-        return "skipped: platform lacks fork"
-    relation = chaos_relation(copies=64)
-    reference = _pc_outcome(relation)
-    pool = WorkerPool(2, task_timeout=task_timeout, max_retries=1)
-    started = time.perf_counter()
-    with obs.tracing() as sink, worker_chaos(
-        fault, item=2, times=times, hang_seconds=30.0
-    ):
-        outcome = _pc_outcome(relation, pool)
-    elapsed = time.perf_counter() - started
-    if outcome != reference:
-        raise Nonconformant(
-            "recovered PC skeleton, separating sets or CI-test count "
-            "diverge from the serial reference"
-        )
-    kinds = [
-        event["fault"]
-        for event in sink.events
-        if event["type"] == "worker_fault"
-    ]
-    if expect_kind not in kinds:
-        raise Nonconformant(
-            f"no WorkerFault of kind {expect_kind!r} recorded "
-            f"(got {kinds or 'none'})"
-        )
-    return (
-        f"bit-identical after {len(kinds)} fault(s) "
-        f"[{', '.join(sorted(set(kinds)))}] in {elapsed:.2f}s"
-    )
-
-
-def _worker_killed(policy, rng, scale) -> str:
-    """A worker is SIGKILLed mid-job; its job is retried re-forked."""
-    return _worker_fault("kill", "worker_died")
-
-
-def _worker_hang(policy, rng, scale) -> str:
-    """A worker wedges past the progress deadline; it is killed and its
-    job retried — the caller never blocks on it."""
-    return _worker_fault("hang", "task_deadline", task_timeout=0.5)
-
-
-def _poisoned_result(policy, rng, scale) -> str:
-    """A worker's result cannot cross the pickle boundary, every time;
-    retries exhaust and the job degrades to inline serial execution."""
-    # Eight failures outlive any retry budget: forces the inline fallback.
-    return _worker_fault("unpicklable", "result_unpicklable", times=8)
-
-
-# ---------------------------------------------------------------------------
 # Durability fault classes: the durability layer under fire
 # ---------------------------------------------------------------------------
 
@@ -800,10 +708,9 @@ def _crash_restart(policy, rng, scale) -> str:
     import os
     import signal
 
-    from ..parallel import fork_available
     from .durability import recover
 
-    if not fork_available():  # pragma: no cover - linux has fork
+    if "fork" not in mp.get_all_start_methods():  # pragma: no cover
         return "skipped: platform lacks fork"
 
     def victim(state_dir, conn):
@@ -872,9 +779,6 @@ FAULTS = {
         FaultClass("schema_drift", "unit", _schema_drift),
         FaultClass("marginal_shift", "unit", _marginal_shift),
         FaultClass("unseen_burst", "unit", _unseen_burst),
-        FaultClass("worker_killed", "worker", _worker_killed),
-        FaultClass("worker_hang", "worker", _worker_hang),
-        FaultClass("poisoned_result", "worker", _poisoned_result),
         FaultClass("torn_journal_tail", "durability", _torn_journal_tail),
         FaultClass("corrupt_snapshot", "durability", _corrupt_snapshot),
         FaultClass("disk_full", "durability", _disk_full),
@@ -953,8 +857,8 @@ def run_chaos_suite(
     """Inject fault classes under ``policy``; return the verdicts.
 
     ``faults`` names classes to run and ``families`` restricts them to
-    some of :data:`FAMILIES`; with neither, the ``unit``, ``worker``
-    and ``durability`` families run.  One ``rng`` is shared across the
+    some of :data:`FAMILIES`; with neither, the ``unit`` and
+    ``durability`` families run.  One ``rng`` is shared across the
     suite's sampled classes, so a fixed seed pins the whole run.
     """
     selected = _select(faults, families)

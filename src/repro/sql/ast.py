@@ -53,6 +53,15 @@ class ColumnRef(Expr):
 
 
 @dataclass(frozen=True)
+class Star(Expr):
+    """``*`` in a SELECT list: every column of the scanned table, in
+    schema order."""
+
+    def __str__(self) -> str:
+        return "*"
+
+
+@dataclass(frozen=True)
 class LiteralExpr(Expr):
     """A constant: string, number, boolean, or NULL."""
 

@@ -35,6 +35,7 @@ from .ast import (
     SelectItem,
     SelectQuery,
     SqlError,
+    Star,
     UnaryOp,
 )
 from .parser import parse_query
@@ -720,10 +721,17 @@ class QueryExecutor:
         aliases: Mapping[str, Expr],
     ) -> QueryResult:
         evaluator = Evaluator(Frame(relation, extras), aliases)
-        names = [
-            item.output_name(index) for index, item in enumerate(stage.items)
+        items = [
+            expanded
+            for item in stage.items
+            for expanded in (
+                [SelectItem(ColumnRef(name)) for name in relation.names]
+                if isinstance(item.expr, Star)
+                else [item]
+            )
         ]
-        columns = [evaluator.eval(item.expr) for item in stage.items]
+        names = [item.output_name(index) for index, item in enumerate(items)]
+        columns = [evaluator.eval(item.expr) for item in items]
         rows = [
             tuple(_pythonic(column[i]) for column in columns)
             for i in range(relation.n_rows)

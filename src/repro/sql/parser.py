@@ -4,6 +4,7 @@ Grammar (precedence low → high)::
 
     query      := SELECT items FROM ident [WHERE expr]
                   [GROUP BY expr_list] [ORDER BY order_list] [LIMIT n]
+    item       := * | expr [[AS] ident]
     expr       := or_expr
     or_expr    := and_expr (OR and_expr)*
     and_expr   := not_expr (AND not_expr)*
@@ -31,6 +32,7 @@ from .ast import (
     Predict,
     SelectItem,
     SelectQuery,
+    Star,
     UnaryOp,
 )
 from .lexer import SqlSyntaxError, Token, tokenize
@@ -118,7 +120,7 @@ class Parser:
                 f"trailing content at offset {token.position}: "
                 f"{token.text!r}"
             )
-        return SelectQuery(
+        query = SelectQuery(
             items=tuple(items),
             table=table,
             where=where,
@@ -127,8 +129,17 @@ class Parser:
             order_by=tuple(order_by),
             limit=limit,
         )
+        if query.is_aggregate() and any(
+            isinstance(item.expr, Star) for item in items
+        ):
+            raise SqlSyntaxError(
+                "SELECT * cannot be combined with GROUP BY or an aggregate"
+            )
+        return query
 
     def _select_item(self) -> SelectItem:
+        if self._accept("STAR"):
+            return SelectItem(Star())
         expr = self.parse_expression()
         alias = None
         if self._accept("AS"):

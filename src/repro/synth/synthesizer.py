@@ -103,7 +103,6 @@ def synthesize(
     config: GuardrailConfig | None = None,
     budget=None,
     *,
-    workers=None,
     warm_start=None,
     fill_cache: FillCache | None = None,
     checkpoint_path=None,
@@ -123,18 +122,12 @@ def synthesize(
     DAG is always concretized in full, so a budgeted run returns a
     usable program whenever the data admits one.
 
+    Synthesis runs in the calling process: every DAG fills against the
+    one shared :class:`~repro.sketch.FillCache`, so no statement is
+    filled twice.
+
     Parameters
     ----------
-    workers:
-        An int or a :class:`repro.parallel.WorkerPool`: PC's level-wise
-        CI tests fan out across forked worker processes.  Algorithm 2
-        stays one loop in this process, so every DAG fills against the
-        one shared :class:`~repro.sketch.FillCache` and no statement is
-        filled twice.  The result — program, PC output and
-        ``fill_stats`` — is **bit-identical** to the serial run at any
-        worker count.  Under a budget, PC's truncation lands on level
-        boundaries instead of between CI tests; partial results remain
-        valid.
     warm_start:
         A prior run's :class:`~repro.pgm.PCResult`: its skeleton seeds
         PC's starting graph (PC then only prunes within it) and its
@@ -174,7 +167,6 @@ def synthesize(
             relation,
             config,
             budget,
-            workers=workers,
             warm_start=warm_start,
             fill_cache=fill_cache,
             checkpoint_path=checkpoint_path,
@@ -194,7 +186,6 @@ def _synthesize(
     relation: Relation,
     config: GuardrailConfig,
     budget=None,
-    workers=None,
     warm_start=None,
     fill_cache: FillCache | None = None,
     checkpoint_path=None,
@@ -275,7 +266,6 @@ def _synthesize(
                     if warm_start is not None
                     else None
                 ),
-                pool=workers,
             )
     timings["structure_learning"] = time.perf_counter() - start
 
@@ -413,17 +403,13 @@ class Guardrail:
 
     # ------------------------------------------------------------------
 
-    def fit(self, relation: Relation, budget=None, workers=None) -> "Guardrail":
+    def fit(self, relation: Relation, budget=None) -> "Guardrail":
         """Synthesize integrity constraints from (noisy) training data.
 
         An optional :class:`repro.resilience.Budget` caps the synthesis;
         a budget-truncated fit is still usable (``result.partial``).
-        ``workers`` (an int or a :class:`repro.parallel.WorkerPool`)
-        fans PC's CI tests across forked workers (see :func:`synthesize`).
         """
-        self._result = synthesize(
-            relation, self.config, budget=budget, workers=workers
-        )
+        self._result = synthesize(relation, self.config, budget=budget)
         return self
 
     @property

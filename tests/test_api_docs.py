@@ -51,7 +51,8 @@ def test_api_doc_exists_and_has_snippets():
 
 def test_performance_doc_exists_and_has_snippets():
     snippets = extract_snippets(PERFORMANCE_MD)
-    # Setup, sharding knobs, equivalence, trajectory, budget-parallel.
+    # Setup, budgeted synthesis, fsync per commit, bounded replay,
+    # shedding, probe crossover.
     assert len(snippets) >= 5
 
 

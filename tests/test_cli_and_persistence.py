@@ -96,16 +96,6 @@ class TestCli:
         ) == 0
         assert read_csv(fixed_csv).value(0, dependent) == original
 
-    def test_synthesize_workers_prints_the_serial_program(
-        self, city_csv, capsys
-    ):
-        argv = ["synthesize", str(city_csv), "--min-support", "3"]
-        assert main(argv) == 0
-        serial = capsys.readouterr().out
-        assert "GIVEN" in serial
-        assert main(argv + ["--workers", "2"]) == 0
-        assert capsys.readouterr().out == serial
-
     def test_serve_resends_rejected_requests(
         self, tmp_path, city_csv, city_relation, capsys
     ):
@@ -134,11 +124,9 @@ class TestCli:
         flushes = int(
             tenant_row.split()[header.split().index("flushes")]
         )
-        # The trace counts what the service report counts, and a run
-        # that forked nothing reports no worker processes.
+        # The trace counts what the service report counts.
         assert main(["obs", "report", str(trace)]) == 0
         report = capsys.readouterr().out
-        assert "merged events from" not in report
         assert re.search(r"serve\.flush\s+(\d+)", report).group(1) == str(
             flushes
         )

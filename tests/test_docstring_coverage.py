@@ -28,7 +28,7 @@ def test_public_api_is_fully_documented():
 
 
 def test_every_subsystem_has_an_api_section():
-    assert "parallel" in DOCUMENTED_SUBSYSTEMS
+    assert "resilience" in DOCUMENTED_SUBSYSTEMS
     missing = find_undocumented_subsystems()
     assert not missing, (
         "subsystem(s) missing their `## repro.<name>` section in "
@@ -46,19 +46,18 @@ def test_every_chaos_fault_class_registered_tested_documented():
 
 
 _ROW_EDITS = {
-    # ``worker_kill`` lives on in prose and as a prefix of
-    # ``worker_killed``: only a whole table row counts.
+    # ``worker_kill`` lives on in prose: only a whole table row counts.
     "missing_row": (
         lambda line: "" if line.startswith("| `worker_kill` ") else line,
         "fault class 'worker_kill': 0 rows in the ARCHITECTURE.md fault "
         "table (want exactly one)",
     ),
     "wrong_family": (
-        lambda line: line.replace("| worker ", "| unit   ")
-        if line.startswith("| `worker_killed` ")
+        lambda line: line.replace("| durability", "| unit      ")
+        if line.startswith("| `crash_restart` ")
         else line,
-        "fault class 'worker_killed': ARCHITECTURE.md says family 'unit', "
-        "the registry says 'worker'",
+        "fault class 'crash_restart': ARCHITECTURE.md says family 'unit', "
+        "the registry says 'durability'",
     ),
     "stale_row": (
         lambda line: line + "| `cosmic_rays` | unit | bit flips |\n"

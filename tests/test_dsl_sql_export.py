@@ -1,14 +1,21 @@
 """Tests for the DSL → SQL translation."""
 
+import numpy as np
+
+from repro.datasets import load
 from repro.dsl import (
     Branch,
     Condition,
     Program,
     Statement,
     check_constraints,
+    program_violations,
     rectify_updates,
     violations_query,
 )
+from repro.errors import inject_errors
+from repro.sql import QueryExecutor
+from repro.synth import Guardrail
 
 
 def make_program() -> Program:
@@ -29,6 +36,26 @@ def test_violations_query_structure():
     assert '"rel" = \'Husband\'' in sql
     assert '"marital" <> \'Married\'' in sql
     assert " OR " in sql
+
+
+def test_violations_query_runs_through_the_sql_engine():
+    """The exported query, run exactly as emitted, returns the rows the
+    interpreter flags, in row order."""
+    relation = load(6, n_rows=600).relation
+    program = Guardrail().fit(relation).program
+    dirty = inject_errors(
+        relation, rate=0.05, rng=np.random.default_rng(1)
+    ).relation
+    flagged = np.flatnonzero(program_violations(program, dirty))
+    assert flagged.size > 0
+    result = QueryExecutor({"blood": dirty}).execute(
+        violations_query(program, "blood")
+    )
+    assert result.names == list(dirty.names)
+    assert result.rows == [
+        tuple(dirty.row(int(i))[name] for name in dirty.names)
+        for i in flagged
+    ]
 
 
 def test_violations_query_empty_program():

@@ -179,10 +179,16 @@ class TestReport:
         report = obs.render_report(events)
         assert "overload: serve.rejected=3" in report
         assert "durability: durability.snapshots=1" in report
-        # The merged view prints the same summary lines.
+        # The aggregated view prints the same summary lines.
         merged = obs.ObsReport.from_events(events).render()
         assert "  overload: serve.rejected=3" in merged
         assert "  durability: durability.snapshots=1" in merged
+
+    def test_counter_default_and_n_events(self):
+        report = obs.ObsReport.from_events([])
+        assert report.counter("missing") == 0
+        assert report.counter("missing", default=7) == 7
+        assert report.n_events == 0
 
     def test_empty_trace_renders(self):
         report = obs.render_report([])

@@ -32,8 +32,7 @@ _DEFAULT = [name for name, f in FAULTS.items() if f.family not in _SERVED]
 
 
 def named(fault: str, text: str) -> bool:
-    """Is ``fault`` in ``text`` as a whole word?  (``worker_kill`` is a
-    prefix of ``worker_killed``.)"""
+    """Is ``fault`` in ``text`` as a whole word?"""
     return re.search(rf"\b{fault}\b", text) is not None
 
 
@@ -99,7 +98,7 @@ class TestChaosCli:
     def test_cli_chaos_conformant_exit(self, capsys):
         from repro.cli import main
 
-        # No selector: the unit, worker and durability families.
+        # No selector: the unit and durability families.
         assert main(["chaos", "--guard-policy", "reject"]) == 0
         out = capsys.readouterr().out
         assert f"{len(_DEFAULT)}/{len(_DEFAULT)} fault classes " in out

@@ -18,7 +18,6 @@ import pytest
 
 from repro.dsl import Branch, Condition, Program, Statement, format_program
 from repro.errors import Guard
-from repro.parallel import fork_available
 from repro.resilience import (
     DurabilityError,
     FullDiskIO,
@@ -270,7 +269,7 @@ class TestKillAndRestart:
     server mid-traffic, restart, and audit every acknowledged commit."""
 
     def test_sigkill_recovers_every_acknowledged_commit(self, tmp_path):
-        if not fork_available():
+        if "fork" not in mp.get_all_start_methods():
             pytest.skip("platform lacks the fork start method")
         state_dir = tmp_path / "state"
         ctx = mp.get_context("fork")

@@ -54,6 +54,16 @@ class TestProjection:
         )
         assert result.column("flag") == [1, 1, 0, 0]
 
+    def test_select_star_projects_columns_in_schema_order(self, executor):
+        result = executor.execute(
+            "SELECT *, name AS who FROM people WHERE dept = 'ops'"
+        )
+        assert result.names == ["name", "dept", "age", "who"]
+        assert result.rows == [
+            ("cat", "ops", 50.0, "cat"),
+            ("dan", "ops", None, "dan"),
+        ]
+
     def test_unknown_table(self, executor):
         with pytest.raises(SqlRuntimeError, match="unknown table"):
             executor.execute("SELECT a FROM nope")

@@ -12,6 +12,7 @@ from repro.sql import (
     LiteralExpr,
     Predict,
     SqlSyntaxError,
+    Star,
     UnaryOp,
     parse_expression,
     parse_query,
@@ -169,6 +170,24 @@ class TestQueryParsing:
         assert parse_query("SELECT COUNT(*) FROM t").is_aggregate()
         assert parse_query("SELECT a FROM t GROUP BY a").is_aggregate()
         assert not parse_query("SELECT a FROM t").is_aggregate()
+
+    def test_select_star(self):
+        query = parse_query("SELECT *, PREDICT(m) AS p FROM t WHERE a = 1")
+        assert isinstance(query.items[0].expr, Star)
+        assert query.items[0].alias is None
+        assert query.items[1].alias == "p"
+
+    @pytest.mark.parametrize(
+        "text",
+        (
+            "SELECT * FROM t GROUP BY a",
+            "SELECT *, COUNT(*) FROM t",
+            "SELECT COUNT(*), * FROM t",
+        ),
+    )
+    def test_select_star_rejected_with_grouping(self, text):
+        with pytest.raises(SqlSyntaxError, match="GROUP BY or an aggregate"):
+            parse_query(text)
 
     def test_trailing_garbage_rejected(self):
         with pytest.raises(SqlSyntaxError, match="trailing"):

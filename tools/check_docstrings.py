@@ -9,7 +9,7 @@ dunder methods and nested (local) functions are exempt, as are
 
 A second gate keeps ``docs/API.md`` honest: every subsystem in
 :data:`DOCUMENTED_SUBSYSTEMS` must have its own ``## repro.<name>``
-section there, so a new package (e.g. ``repro.parallel``) cannot land
+section there, so a new package (e.g. ``repro.serve``) cannot land
 without reference documentation.
 
 A third gate keeps the chaos harness honest: one loop over its
@@ -52,7 +52,6 @@ DOCUMENTED_SUBSYSTEMS = (
     "ml",
     "obs",
     "resilience",
-    "parallel",
     "serve",
 )
 """Subsystem packages that must each have a ``## repro.<name>`` section
